@@ -1,45 +1,25 @@
 #!/usr/bin/env python3
-"""Desk-scale benchmark: synthesize a grid-state series, train the hybrid
-forecaster and the RNN-only baseline under the identical protocol over
-several independent seeds, and print the side-by-side comparison table
-(absolute-error statistics plus nRMSE) with persistence as the floor.
+"""Desk-scale comparison: synthesize a grid-state series, train the hybrid
+forecaster and the RNN-only baseline under the identical independent-runs
+protocol (`gridcast.training.multi_run`), and print the side-by-side table
+of per-run means (absolute-error statistics plus nRMSE) with persistence
+as the floor. Timings live in `perfbench/run.py`, not here.
 
 Example:
     python3 scripts/run_benchmark.py --buses 14 --length 2000 --runs 5 --epochs 15
 """
 
 import argparse
-import time
+from dataclasses import fields, replace
 
 import numpy as np
 
-from gridcast import evaluation
-from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series
-from gridcast.evaluation import (comparison_table, evaluate,
-                                 evaluate_predictions, persistence_predictions)
+from gridcast.data_pipeline import (SyntheticConfig, build_windows, chronological_split,
+                                    generate_synthetic_series)
+from gridcast.evaluation import (comparison_table, evaluate_predictions,
+                                 persistence_predictions)
 from gridcast.forecaster import RNN_ONLY, ModelConfig
-from gridcast.training import Hyperparams, fit_forecaster
-
-
-def run_method(series, config, hp, runs):
-    reports = []
-    for i in range(runs):
-        seed_hp = Hyperparams(learning_rate=hp.learning_rate,
-                              batch_size=hp.batch_size, epochs=hp.epochs,
-                              seed=hp.seed + i)
-        model, _, x_test, y_test = fit_forecaster(series, config, seed_hp)
-        rep, _ = evaluate(model, x_test, y_test)
-        reports.append(rep)
-    return reports, x_test, y_test
-
-
-def mean_report(reports):
-    import statistics
-    from gridcast.evaluation import MetricsReport
-    fields = ["nrmse", "nrmse_magnitude", "nrmse_angle", "avg_ae_magnitude",
-              "max_ae_magnitude", "avg_ae_angle", "max_ae_angle"]
-    vals = {f: statistics.mean(getattr(r, f) for r in reports) for f in fields}
-    return MetricsReport(n_test_windows=reports[0].n_test_windows, **vals)
+from gridcast.training import Hyperparams, multi_run
 
 
 def main():
@@ -58,28 +38,27 @@ def main():
         SyntheticConfig(n_buses=args.buses, length=args.length, seed=args.seed))
     hp = Hyperparams(learning_rate=args.lr, batch_size=args.batch,
                      epochs=args.epochs, seed=args.seed)
-
-    t0 = time.perf_counter()
     hybrid_cfg = ModelConfig(n_buses=args.buses, lag_r=args.lag)
-    hybrid_reports, x_test, y_test = run_method(series, hybrid_cfg, hp, args.runs)
-    rnn_cfg = ModelConfig(n_buses=args.buses, lag_r=args.lag, kind=RNN_ONLY)
-    rnn_reports, _, _ = run_method(series, rnn_cfg, hp, args.runs)
-    pers_rep, _ = evaluate_predictions(
+    rows, scores = {}, {}
+    for name, cfg in (("hybrid", hybrid_cfg), ("rnn-only", replace(hybrid_cfg, kind=RNN_ONLY))):
+        agg, reports, _ = multi_run(series, cfg, hp, n_runs=args.runs)
+        rows[name] = replace(reports[0], **{
+            f.name: float(np.mean([getattr(m, f.name) for m in reports]))
+            for f in fields(reports[0]) if f.name != "n_test_windows"})
+        scores[name] = agg
+    _, test_part = chronological_split(series, min_len=args.lag + 1)
+    x_test, y_test = build_windows(test_part, args.lag)
+    rows["persistence"], _ = evaluate_predictions(
         persistence_predictions(x_test), y_test, args.buses)
 
     print(f"\n{args.buses}-bus synthetic series, T={args.length}, "
-          f"{args.runs} independent runs x {args.epochs} epochs "
-          f"({time.perf_counter() - t0:.1f}s)\n")
-    print(comparison_table({
-        "hybrid": mean_report(hybrid_reports),
-        "rnn-only": mean_report(rnn_reports),
-        "persistence": pers_rep,
-    }))
-    h = [r.nrmse for r in hybrid_reports]
-    r = [r.nrmse for r in rnn_reports]
-    print(f"hybrid   nRMSE over runs: mean {np.mean(h):.4e}  std {np.std(h):.2e}")
-    print(f"rnn-only nRMSE over runs: mean {np.mean(r):.4e}  std {np.std(r):.2e}")
-    print(f"hybrid vs persistence: {100 * (1 - np.mean(h) / pers_rep.nrmse):.1f}% lower nRMSE")
+          f"{args.runs} independent runs x {args.epochs} epochs\n")
+    print(comparison_table(rows))
+    for name, agg in scores.items():
+        print(f"{name:<8} nRMSE over runs: mean {agg['nrmse_mean']:.4e}  "
+              f"std {agg['nrmse_std']:.2e}  ({agg['n_diverged']} diverged)")
+    gain = 1 - scores["hybrid"]["nrmse_mean"] / rows["persistence"].nrmse
+    print(f"hybrid vs persistence: {100 * gain:.1f}% lower nRMSE")
 
 
 if __name__ == "__main__":

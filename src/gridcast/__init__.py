@@ -8,9 +8,9 @@ from .data_pipeline import (Normalizer, StateSeries, SyntheticConfig,
 from .forecaster import (ForecastModel, ModelConfig, cnn_branch_forward,
                          forecast_next, init_model, load_model, param_count,
                          rnn_branch_forward, save_model)
-from .training import AdamState, Hyperparams, adam_step, fit_forecaster, mse_loss, multi_run, train
+from .training import AdamState, Hyperparams, adam_step, fit_forecaster, multi_run, train
 from .evaluation import (ErrorTrace, MetricsReport, ae_stats, evaluate,
-                         normalized_rmse, persistence_baseline)
+                         normalized_rmse, persistence_predictions)
 
 __all__ = [
     "Normalizer", "StateSeries", "SyntheticConfig", "build_windows",
@@ -18,8 +18,8 @@ __all__ = [
     "load_series", "save_series",
     "ForecastModel", "ModelConfig", "cnn_branch_forward", "forecast_next",
     "init_model", "load_model", "param_count", "rnn_branch_forward", "save_model",
-    "AdamState", "Hyperparams", "adam_step", "fit_forecaster", "mse_loss",
-    "multi_run", "train",
+    "AdamState", "Hyperparams", "adam_step", "fit_forecaster", "multi_run",
+    "train",
     "ErrorTrace", "MetricsReport", "ae_stats", "evaluate", "normalized_rmse",
-    "persistence_baseline",
+    "persistence_predictions",
 ]

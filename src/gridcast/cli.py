@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import evaluation, forecaster, training
-from .data_pipeline import (DataFormatError, StateSeries, SyntheticConfig,
+from .data_pipeline import (DataFormatError, SyntheticConfig, atomic_write,
                             build_windows, chronological_split,
                             generate_synthetic_series, load_series, save_series)
-from .forecaster import (HYBRID, RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig,
+from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig,
                          ModelFormatError, load_model, save_model)
 from .training import DivergenceError, Hyperparams
 
@@ -38,13 +37,6 @@ class UsageError(ValueError):
     pass
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(primary_out, command, args, seeds, inputs, outputs, t0):
     doc = {
         "manifest_version": MANIFEST_VERSION,
@@ -56,7 +48,8 @@ def _write_manifest(primary_out, command, args, seeds, inputs, outputs, t0):
         "format_versions": {"model": MODEL_FORMAT_VERSION},
         "wall_clock_s": time.perf_counter() - t0,
     }
-    _atomic_write(str(primary_out) + ".manifest.json", json.dumps(doc, indent=1) + "\n")
+    with atomic_write(str(primary_out) + ".manifest.json") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +93,17 @@ def _hyperparams_from(args):
 def cmd_train(args):
     t0 = time.perf_counter()
     series = load_series(args.data)
-    kind = HYBRID if args.baseline == "hybrid" else RNN_ONLY
-    config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=kind)
+    config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
     hp = _hyperparams_from(args)
     model, report, _, _ = training.fit_forecaster(
         series, config, hp, train_fraction=args.train_fraction)
     save_model(model, args.model_out)
     report_path = args.report_out or (args.model_out + ".report.json")
-    _atomic_write(report_path, json.dumps(report.to_dict(), indent=1) + "\n")
+    with atomic_write(report_path) as fh:
+        fh.write(json.dumps(asdict(report), indent=1) + "\n")
     _write_manifest(args.model_out, "train", args, [args.seed], [args.data],
                     [args.model_out, report_path], t0)
-    print(f"trained {kind} model: final train loss {report.final_train_loss:.6e}, "
+    print(f"trained {args.baseline} model: final train loss {report.final_train_loss:.6e}, "
           f"test nRMSE {report.test_nrmse:.6e}")
     return EXIT_OK
 
@@ -119,12 +112,6 @@ def cmd_train(args):
 # eval
 # ---------------------------------------------------------------------------
 
-def _run_protocol(series, config, hp, train_fraction):
-    model, report, x_test, y_test = training.fit_forecaster(series, config, hp, train_fraction)
-    metrics, trace = evaluation.evaluate(model, x_test, y_test)
-    return model, metrics, trace
-
-
 def cmd_eval(args):
     t0 = time.perf_counter()
     model = load_model(args.model)
@@ -132,56 +119,35 @@ def cmd_eval(args):
     if series.n_buses != model.config.n_buses:
         raise DataFormatError(
             f"model expects {model.config.n_buses} buses, data has {series.n_buses}")
-    r = model.config.lag_r
-    _, test_part = chronological_split(series, args.train_fraction, min_len=r + 1)
-    x_test, y_test = build_windows(test_part, r)
     compare = [c.strip() for c in (args.compare or "").split(",") if c.strip()]
     for c in compare:
         if c not in ("persistence", "rnn-only"):
             raise UsageError(f"unknown --compare entry {c!r}")
+    if "rnn-only" in compare and model.config.kind == RNN_ONLY:
+        raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
+    r = model.config.lag_r
+    _, test_part = chronological_split(series, args.train_fraction, min_len=r + 1)
+    x_test, y_test = build_windows(test_part, r)
 
-    reports = {}
-    seeds = []
+    seeds = [args.seed]
     aggregate = None
     if args.runs <= 1:
         metrics, trace = evaluation.evaluate(model, x_test, y_test)
-        reports["hybrid" if model.config.kind == HYBRID else "rnn-only"] = metrics
     else:
-        hp = _hyperparams_from(args)
-        per_run = []
-        diverged = 0
-        for i in range(args.runs):
-            seeds.append(args.seed + i)
-            try:
-                _, metrics_i, trace_i = _run_protocol(
-                    series, model.config, replace(hp, seed=args.seed + i),
-                    args.train_fraction)
-            except DivergenceError:
-                diverged += 1
-                continue
-            per_run.append(metrics_i)
-            if len(per_run) == 1:
-                metrics, trace = metrics_i, trace_i
-        scores = [m.nrmse for m in per_run]
-        aggregate = {
-            "n_runs": args.runs,
-            "n_completed": len(per_run),
-            "n_diverged": diverged,
-            "base_seed": args.seed,
-            "nrmse_mean": float(np.mean(scores)) if scores else None,
-            "nrmse_std": float(np.std(scores)) if scores else None,
-            "nrmse_min": float(np.min(scores)) if scores else None,
-            "nrmse_max": float(np.max(scores)) if scores else None,
-        }
-        reports["hybrid" if model.config.kind == HYBRID else "rnn-only"] = metrics
+        seeds = list(range(args.seed, args.seed + args.runs))
+        aggregate, per_run, trace = training.multi_run(
+            series, model.config, _hyperparams_from(args), args.runs, args.train_fraction)
+        metrics = per_run[0]
+    reports = {model.config.kind: metrics}
     if "persistence" in compare:
         preds = evaluation.persistence_predictions(x_test)
         reports["persistence"], _ = evaluation.evaluate_predictions(
             preds, y_test, model.config.n_buses)
-    if "rnn-only" in compare and model.config.kind == HYBRID:
-        rnn_cfg = replace(model.config, kind=RNN_ONLY)
-        _, reports["rnn-only"], _ = _run_protocol(
-            series, rnn_cfg, _hyperparams_from(args), args.train_fraction)
+    if "rnn-only" in compare:
+        _, rnn_runs, _ = training.multi_run(
+            series, replace(model.config, kind=RNN_ONLY), _hyperparams_from(args), 1,
+            args.train_fraction)
+        reports["rnn-only"] = rnn_runs[0]
 
     table = evaluation.comparison_table(reports)
     body = table
@@ -190,13 +156,14 @@ def cmd_eval(args):
         body += json.dumps(aggregate, indent=1) + "\n"
     outputs = []
     if args.report_out:
-        _atomic_write(args.report_out, body)
+        with atomic_write(args.report_out) as fh:
+            fh.write(body)
         outputs.append(args.report_out)
     if args.trace_out:
         evaluation.export_trace_csv(trace, args.trace_out)
         outputs.append(args.trace_out)
     primary = args.report_out or args.trace_out or (args.model + ".eval")
-    _write_manifest(primary, "eval", args, seeds or [args.seed],
+    _write_manifest(primary, "eval", args, seeds,
                     [args.model, args.data], outputs, t0)
     print(body, end="")
     return EXIT_OK
@@ -210,18 +177,13 @@ def cmd_forecast(args):
     t0 = time.perf_counter()
     series = load_series(args.data)
     n = series.n_buses
-    if args.model == "persistence":
-        r = 1
-        predict = evaluation.persistence_baseline
-    else:
+    model, r = None, 1  # the persistence baseline needs one preceding state
+    if args.model != "persistence":
         model = load_model(args.model)
         if model.config.n_buses != n:
             raise DataFormatError(
                 f"model expects {model.config.n_buses} buses, data has {n}")
         r = model.config.lag_r
-
-        def predict(window):
-            return forecaster.forecast_next(model, window)
 
     i = args.at_instance  # 1-based series coordinate of the forecast target
     if i < r + 1 or i > len(series) + 1:
@@ -229,7 +191,10 @@ def cmd_forecast(args):
             f"instance {i} out of range: need {r} preceding states "
             f"(legal range {r + 1}..{len(series) + 1})")
     window = series.values[i - 1 - r:i - 1].T
-    pred = predict(window)
+    if model is None:
+        pred = evaluation.persistence_predictions(window[None])[0]
+    else:
+        pred = forecaster.forecast_next(model, window)
     has_truth = i <= len(series)
     cols = [f"vm_{b + 1}" for b in range(n)] + [f"va_{b + 1}" for b in range(n)]
     lines = ["kind,t," + ",".join(cols)]
@@ -241,7 +206,8 @@ def cmd_forecast(args):
         lines.append("abs_error," + str(i) + "," + ",".join(repr(float(v)) for v in ae))
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        with atomic_write(args.out) as fh:
+            fh.write(text)
         _write_manifest(args.out, "forecast", args, [], [args.data], [args.out], t0)
     print(text, end="")
     return EXIT_OK
@@ -270,21 +236,26 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    t = sub.add_parser("train", help="train a forecaster on a dataset CSV")
+    # training flags, shared by train and eval's retraining protocol
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--epochs", type=int, default=30)
+    protocol.add_argument("--batch", type=int, default=32)
+    protocol.add_argument("--lr", type=float, default=1e-3)
+    protocol.add_argument("--seed", type=int, default=0)
+    protocol.add_argument("--train-fraction", type=float, default=0.8)
+    protocol.add_argument("--freeze-branch", choices=["cnn", "rnn"], default=None)
+
+    t = sub.add_parser("train", parents=[protocol],
+                       help="train a forecaster on a dataset CSV")
     t.add_argument("--data", required=True)
     t.add_argument("--lag", type=int, default=10)
     t.add_argument("--model-out", required=True)
     t.add_argument("--report-out", default=None)
-    t.add_argument("--epochs", type=int, default=30)
-    t.add_argument("--batch", type=int, default=32)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--train-fraction", type=float, default=0.8)
-    t.add_argument("--freeze-branch", choices=["cnn", "rnn"], default=None)
     t.add_argument("--baseline", choices=["hybrid", "rnn-only"], default="hybrid")
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a model (optionally retrain per run)")
+    e = sub.add_parser("eval", parents=[protocol],
+                       help="evaluate a model (optionally retrain per run)")
     e.add_argument("--model", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--report-out", default=None)
@@ -292,12 +263,6 @@ def build_parser():
     e.add_argument("--runs", type=int, default=1)
     e.add_argument("--compare", default=None,
                    help="comma list of baselines: persistence,rnn-only")
-    e.add_argument("--epochs", type=int, default=30)
-    e.add_argument("--batch", type=int, default=32)
-    e.add_argument("--lr", type=float, default=1e-3)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--train-fraction", type=float, default=0.8)
-    e.add_argument("--freeze-branch", choices=["cnn", "rnn"], default=None)
     e.set_defaults(func=cmd_eval)
 
     f = sub.add_parser("forecast", help="one-step forecast at a series instance")

@@ -6,7 +6,11 @@ followed by n phase angles (degrees) - a 2n-wide row. The CSV format is:
 
     t,vm_1,...,vm_n,va_1,...,va_n
 
-one row per instance, decimal numbers, no missing cells.
+one row per instance, decimal numbers, no missing or non-finite cells,
+and t increasing by a uniform step.
+
+Layouts are explicit: a batch of states is (..., 2n) and a batch of lag
+windows is (..., 2n, r), features along rows and time along the last axis.
 
 Synthetic series model (per bus i, time step t, all randomness seeded):
 
@@ -22,6 +26,7 @@ periodic with the configured period.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -91,22 +96,26 @@ class Normalizer:
     def identity(cls, n_features):
         return cls(np.zeros(n_features), np.ones(n_features))
 
-    def apply(self, x):
-        """z-score along the feature axis; x is (..., 2n) or (2n, r)."""
-        return self._broadcast(x, lambda v, m, s: (v - m) / s)
+    def apply(self, states):
+        """z-score states laid out (..., 2n)."""
+        return (self._aligned(states) - self.mean) / self.std
 
-    def invert(self, x):
-        return self._broadcast(x, lambda v, m, s: v * s + m)
+    def invert(self, states):
+        """Map z-scored states laid out (..., 2n) back to physical units."""
+        return self._aligned(states) * self.std + self.mean
 
-    def _broadcast(self, x, op):
+    def apply_window(self, windows):
+        """z-score windows laid out (..., 2n, r): features along rows, time
+        along the last axis. Elementwise ops keep the input's memory order,
+        so a C-ordered batch of windows comes back C-ordered."""
+        return self.apply(np.swapaxes(windows, -1, -2)).swapaxes(-1, -2)
+
+    def _aligned(self, x):
         x = np.asarray(x, dtype=float)
-        f = self.mean.shape[0]
-        if x.ndim >= 2 and x.shape[-2] == f:
-            # window layout: features along rows, time along the last axis
-            return op(x, self.mean[..., None], self.std[..., None])
-        if x.shape[-1] == f:
-            return op(x, self.mean, self.std)
-        raise ValueError(f"cannot align shape {x.shape} with {f} features")
+        if x.ndim < 1 or x.shape[-1] != self.mean.shape[0]:
+            raise ValueError(f"expected {self.mean.shape[0]} features on the last "
+                             f"axis, got shape {x.shape}")
+        return x
 
 
 def fit_normalizer(train: StateSeries) -> Normalizer:
@@ -179,7 +188,7 @@ def load_series(path) -> StateSeries:
     if header != _expected_header(n):
         raise DataFormatError(
             f"header does not match t,vm_1..vm_{n},va_1..va_{n}", line=1)
-    rows = []
+    rows, line_of_row = [], []
     for idx, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -188,22 +197,47 @@ def load_series(path) -> StateSeries:
             raise DataFormatError(
                 f"ragged row: {len(cells)} cells, expected {n_cols}", line=idx)
         try:
-            rows.append([float(c) for c in cells[1:]])
+            rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"non-numeric cell: {exc}", line=idx) from None
+        line_of_row.append(idx)
     if not rows:
         raise DataFormatError("no data rows", line=2)
-    return StateSeries(n, np.array(rows, dtype=float))
+    table = np.array(rows, dtype=float)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("non-finite cell", line=line_of_row[int(np.argmin(finite))])
+    t = table[:, 0]
+    steps = np.diff(t)
+    # slack for decimal steps such as 0.1, inexact in binary, and for the
+    # rounding of large t such as Unix-epoch seconds
+    slack = 1e-9 * np.abs(steps[:1]) + 4 * np.spacing(np.abs(t[1:]))
+    bad = (steps <= 0) | (np.abs(steps - steps[:1]) > slack)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataFormatError(
+            f"t must increase by a uniform step: t={float(t[k + 1])!r} follows "
+            f"t={float(t[k])!r}",
+            line=line_of_row[k + 1])
+    return StateSeries(n, np.ascontiguousarray(table[:, 1:]))
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Yield a text file open for writing; on a clean exit it replaces
+    `path` in one step, so readers never see a partly written file."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
 
 
 def save_series(series: StateSeries, path):
     """Write the CSV format read by load_series; floats via repr (lossless)."""
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(_expected_header(series.n_buses)) + "\n")
         for t, row in enumerate(series.values):
             fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

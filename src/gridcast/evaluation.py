@@ -12,12 +12,12 @@ over all components and all test instances; 0 for perfect predictions,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forecaster
+from .data_pipeline import atomic_write
 
 
 @dataclass
@@ -31,18 +31,6 @@ class MetricsReport:
     max_ae_angle: float
     n_test_windows: int
 
-    def to_dict(self):
-        return {
-            "nrmse": self.nrmse,
-            "nrmse_magnitude": self.nrmse_magnitude,
-            "nrmse_angle": self.nrmse_angle,
-            "avg_ae_magnitude": self.avg_ae_magnitude,
-            "max_ae_magnitude": self.max_ae_magnitude,
-            "avg_ae_angle": self.avg_ae_angle,
-            "max_ae_angle": self.max_ae_angle,
-            "n_test_windows": self.n_test_windows,
-        }
-
 
 @dataclass
 class ErrorTrace:
@@ -50,10 +38,6 @@ class ErrorTrace:
 
     ae_vm: np.ndarray
     ae_va: np.ndarray
-
-    @property
-    def n_instances(self):
-        return self.ae_vm.shape[0]
 
     def at_instance(self, i):
         """Per-bus errors for one test instance (1-based, matching reports)."""
@@ -104,23 +88,14 @@ def ae_stats(preds, truths, n_buses) -> MetricsReport:
     )
 
 
-def persistence_baseline(window):
-    """Naive forecast: the most recent observed state (last window column)."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise ValueError(f"expected a 2n x r window, got shape {window.shape}")
-    return window[:, -1].copy()
-
-
 def persistence_predictions(windows):
+    """Naive forecast: each (2n, r) window's most recent state (last column)."""
     return np.asarray(windows, dtype=float)[:, :, -1].copy()
 
 
 def evaluate(model, x_test, y_test):
     """Forecast every test window (physical units) and compute the report
     plus the full error trace."""
-    x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float)
     preds = forecaster.forecast_batch(model, x_test)
     return evaluate_predictions(preds, y_test, model.config.n_buses)
 
@@ -138,39 +113,33 @@ def evaluate_predictions(preds, truths, n_buses):
 # text / CSV exports
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def export_trace_csv(trace: ErrorTrace, path):
     """CSV `instance,bus,ae_vm,ae_va`, 1-based indices, row-major by instance."""
-    lines = ["instance,bus,ae_vm,ae_va"]
     t, n = trace.ae_vm.shape
-    for i in range(t):
-        for b in range(n):
-            lines.append(f"{i + 1},{b + 1},{float(trace.ae_vm[i, b])!r},{float(trace.ae_va[i, b])!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("instance,bus,ae_vm,ae_va\n")
+        for i in range(t):
+            for b in range(n):
+                fh.write(f"{i + 1},{b + 1},{float(trace.ae_vm[i, b])!r},"
+                         f"{float(trace.ae_va[i, b])!r}\n")
 
 
 def export_instance_slice_csv(trace: ErrorTrace, instance, path):
     """Per-bus errors at one test instance (all-buses view)."""
     vm, va = trace.at_instance(instance)
-    lines = ["bus,ae_vm,ae_va"]
-    for b in range(len(vm)):
-        lines.append(f"{b + 1},{float(vm[b])!r},{float(va[b])!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("bus,ae_vm,ae_va\n")
+        for b in range(len(vm)):
+            fh.write(f"{b + 1},{float(vm[b])!r},{float(va[b])!r}\n")
 
 
 def export_bus_slice_csv(trace: ErrorTrace, bus, start, stop, path):
     """One bus's errors over an instance range (time-trace view)."""
     vm, va = trace.for_bus(bus, start, stop)
-    lines = ["instance,ae_vm,ae_va"]
-    for i in range(len(vm)):
-        lines.append(f"{start + i},{float(vm[i])!r},{float(va[i])!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("instance,ae_vm,ae_va\n")
+        for i in range(len(vm)):
+            fh.write(f"{start + i},{float(vm[i])!r},{float(va[i])!r}\n")
 
 
 def comparison_table(reports: dict) -> str:

@@ -15,13 +15,12 @@ float.hex(), so save/load round trips are bit-exact.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import layers
-from .data_pipeline import Normalizer
+from .data_pipeline import Normalizer, atomic_write
 
 MODEL_FORMAT_VERSION = "gridcast-model-v1"
 
@@ -194,7 +193,9 @@ def model_forward(model: ForecastModel, x):
     """
     cfg, p = model.config, model.params
     x = _check_window_batch(cfg, x)
-    cache = {"kind": cfg.kind}
+    cache = {}
+    top, cache["rnn"] = layers.stacked_rnn_forward(x, _rnn_layer_params(cfg, p))
+    out, cache["dense3"] = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
     if cfg.kind == HYBRID:
         conv, cache["conv"] = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
         pooled, cache["pool"] = layers.maxpool_forward(conv, cfg.pool)
@@ -202,12 +203,7 @@ def model_forward(model: ForecastModel, x):
         d1, cache["dense1"] = layers.dense_forward(
             flat, p["dense1_w"], p.get("dense1_b"), activation="relu")
         vm, cache["dense2"] = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
-        top, cache["rnn"] = layers.stacked_rnn_forward(x, _rnn_layer_params(cfg, p))
-        va, cache["dense3"] = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
-        out = np.concatenate([vm, va], axis=1)
-    else:
-        top, cache["rnn"] = layers.stacked_rnn_forward(x, _rnn_layer_params(cfg, p))
-        out, cache["dense3"] = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
+        out = np.concatenate([vm, out], axis=1)
     return out, cache
 
 
@@ -217,22 +213,18 @@ def model_backward(model: ForecastModel, cache, d_out):
     cfg = model.config
     n = cfg.n_buses
     grads = {}
+    d_head = d_out[:, n:] if cfg.kind == HYBRID else d_out
+    (grads["dense3_w"], grads["dense3_b"]), d_top = layers.dense_backward(cache["dense3"], d_head)
+    rnn_grads, _ = layers.stacked_rnn_backward(cache["rnn"], d_top)
     if cfg.kind == HYBRID:
-        (dw3, db3), d_top = layers.dense_backward(cache["dense3"], d_out[:, n:])
-        rnn_grads, _ = layers.stacked_rnn_backward(cache["rnn"], d_top)
         (dw2, db2), d_d1 = layers.dense_backward(cache["dense2"], d_out[:, :n])
         (dw1, db1), d_flat = layers.dense_backward(cache["dense1"], d_d1)
         d_pooled = layers.flatten_backward(cache["flatten"], d_flat)
         d_conv = layers.maxpool_backward(cache["pool"], d_pooled)
         (dcw, dcb), _ = layers.conv1d_backward(cache["conv"], d_conv)
-        grads.update(conv_w=dcw, conv_b=dcb, dense1_w=dw1,
-                     dense2_w=dw2, dense2_b=db2, dense3_w=dw3, dense3_b=db3)
+        grads.update(conv_w=dcw, conv_b=dcb, dense1_w=dw1, dense2_w=dw2, dense2_b=db2)
         if cfg.dense1_bias:
             grads["dense1_b"] = db1
-    else:
-        (dw3, db3), d_top = layers.dense_backward(cache["dense3"], d_out)
-        rnn_grads, _ = layers.stacked_rnn_backward(cache["rnn"], d_top)
-        grads.update(dense3_w=dw3, dense3_b=db3)
     for l, (dwx, dwh, db) in enumerate(rnn_grads):
         grads[f"rnn{l}_wx"] = dwx
         grads[f"rnn{l}_wh"] = dwh
@@ -241,54 +233,42 @@ def model_backward(model: ForecastModel, cache, d_out):
 
 
 # ---------------------------------------------------------------------------
-# single-window API (normalized units for branch ops, physical for forecast)
+# branch views and forecasts (normalized units for branches, physical for
+# forecasts); every path runs model_forward
 # ---------------------------------------------------------------------------
 
 def cnn_branch_forward(model: ForecastModel, window):
-    """Normalized 2n x r window -> n magnitude predictions (normalized)."""
+    """Normalized (2n, r) window -> n magnitude predictions (normalized)."""
     if model.config.kind != HYBRID:
         raise ValueError("model has no convolutional branch")
-    cfg, p = model.config, model.params
-    x = _check_window_batch(cfg, np.asarray(window, dtype=float)[None])
-    conv, _ = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
-    pooled, _ = layers.maxpool_forward(conv, cfg.pool)
-    flat, _ = layers.flatten_forward(pooled)
-    d1, _ = layers.dense_forward(flat, p["dense1_w"], p.get("dense1_b"), activation="relu")
-    vm, _ = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
-    return vm[0]
+    out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
+    return out[0, :model.config.n_buses]
 
 
 def rnn_branch_forward(model: ForecastModel, window):
-    """Normalized 2n x r window -> angle predictions (normalized)."""
-    cfg, p = model.config, model.params
-    x = _check_window_batch(cfg, np.asarray(window, dtype=float)[None])
-    top, _ = layers.stacked_rnn_forward(x, _rnn_layer_params(cfg, p))
-    out, _ = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
-    return out[0]
+    """Normalized (2n, r) window -> the recurrent head's output (normalized):
+    the n angles of a hybrid model, all 2n states of an RNN-only one."""
+    out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
+    return out[0, model.config.n_buses:] if model.config.kind == HYBRID else out[0]
 
 
 def forecast_next(model: ForecastModel, window):
-    """Raw (physical-unit) 2n x r window -> 2n next-state forecast in
+    """Raw (physical-unit) (2n, r) window -> 2n next-state forecast in
     physical units, magnitudes first."""
     window = np.asarray(window, dtype=float)
     cfg = model.config
     if window.shape != (cfg.n_features, cfg.lag_r):
         raise layers.ShapeError(
             f"expected a ({cfg.n_features}, {cfg.lag_r}) window, got {window.shape}")
-    if not np.isfinite(window).all():
-        raise ValueError("window contains non-finite values")
-    x = model.normalizer.apply(window)
-    pred, _ = model_forward(model, x[None])
-    return model.normalizer.invert(pred[0])
+    return forecast_batch(model, window[None])[0]
 
 
 def forecast_batch(model: ForecastModel, windows):
-    windows = np.asarray(windows, dtype=float)
-    _check_window_batch(model.config, windows)
+    """Raw (B, 2n, r) windows -> (B, 2n) forecasts in physical units."""
+    windows = _check_window_batch(model.config, windows)
     if not np.isfinite(windows).all():
         raise ValueError("windows contain non-finite values")
-    x = model.normalizer.apply(windows)
-    pred, _ = model_forward(model, x)
+    pred, _ = model_forward(model, model.normalizer.apply_window(windows))
     return model.normalizer.invert(pred)
 
 
@@ -301,7 +281,10 @@ def _hex_list(arr):
 
 
 def _from_hex(data, shape):
-    return np.array([float.fromhex(h) for h in data], dtype=float).reshape(shape)
+    values = np.array([float.fromhex(h) for h in data], dtype=float).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
 
 
 def save_model(model: ForecastModel, path):
@@ -319,11 +302,10 @@ def save_model(model: ForecastModel, path):
             for name, shape in _param_shapes(cfg)
         },
     }
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    # streamed: json.dumps would hold the whole text of a large model in memory
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_model(path) -> ForecastModel:

@@ -2,8 +2,8 @@
 
 All functions operate on float64 numpy arrays and are pure: every forward
 returns its output together with a cache object, and the matching backward
-consumes that cache plus the upstream gradient. Batched inputs carry a
-leading batch axis; single-sample helpers wrap the batched code with B=1.
+consumes that cache plus the upstream gradient. Inputs carry a leading
+batch axis.
 
 Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
@@ -112,11 +112,6 @@ def flatten_backward(cache, d_out):
     return d_out.reshape(d_out.shape[0], k_, q)
 
 
-def unflatten(v, k, q):
-    """Inverse of the flatten map for a single sample; v: (k*q,) -> (k, q)."""
-    return np.asarray(v).reshape(k, q)
-
-
 # ---------------------------------------------------------------------------
 # dense
 # ---------------------------------------------------------------------------
@@ -148,23 +143,6 @@ def dense_backward(cache, d_out):
 # ---------------------------------------------------------------------------
 # stacked recurrent network
 # ---------------------------------------------------------------------------
-
-def rnn_cell_step(wx, wh, b, below, prev_hidden):
-    """Single-sample recurrent update: relu(wx @ below + wh @ prev_hidden + b)."""
-    wx = np.asarray(wx, dtype=float)
-    wh = np.asarray(wh, dtype=float)
-    if wh.shape[0] != wh.shape[1]:
-        raise ShapeError(f"recurrent weight must be square, got {wh.shape}")
-    if wx.shape[0] != wh.shape[0]:
-        raise ShapeError(f"input weight rows {wx.shape[0]} != hidden size {wh.shape[0]}")
-    below = np.asarray(below, dtype=float)
-    prev_hidden = np.asarray(prev_hidden, dtype=float)
-    if below.shape != (wx.shape[1],):
-        raise ShapeError(f"input length {below.shape} != weight cols {wx.shape[1]}")
-    if prev_hidden.shape != (wh.shape[0],):
-        raise ShapeError(f"hidden length {prev_hidden.shape} != {wh.shape[0]}")
-    return relu(wx @ below + wh @ prev_hidden + b)
-
 
 def stacked_rnn_forward(x, layer_params):
     """x: (B, D, r); layer_params: list of (wx, wh, b) bottom to top.

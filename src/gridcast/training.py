@@ -8,13 +8,12 @@ Training is fully deterministic given (data, hyperparameters, seed).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import evaluation, forecaster
-from .data_pipeline import build_windows, chronological_split, fit_normalizer
+from .data_pipeline import StateSeries, build_windows, chronological_split, fit_normalizer
 from .forecaster import ForecastModel, ModelConfig
 
 
@@ -34,7 +33,6 @@ class Hyperparams:
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
-    shuffle_each_epoch: bool = True
     freeze_branch: str = None  # None | "cnn" | "rnn"
 
     def __post_init__(self):
@@ -66,34 +64,13 @@ class TrainReport:
     n_train_samples: int
     final_train_loss: float
     test_nrmse: float = None
-    wall_clock_s: float = None  # reported in the run manifest, not in saved reports
-
-    def to_dict(self, include_wall_clock=False):
-        d = asdict(self)
-        if not include_wall_clock:
-            d.pop("wall_clock_s")
-        return d
-
-
-def mse_loss(pred, target):
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
-
-
-def mse_grad(pred, target):
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    return 2.0 * (pred - target) / pred.size
 
 
 def joint_loss_and_grad(pred, target, n_buses):
     """Batch loss: mean over samples of mse(magnitudes) + mse(angles);
-    returns (loss, dLoss/dPred)."""
+    returns (loss, dLoss/dPred). pred and target are (B, 2n)."""
+    if pred.shape != target.shape or pred.shape[1:] != (2 * n_buses,):
+        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape} for n={n_buses}")
     b = pred.shape[0]
     n = n_buses
     err_vm = pred[:, :n] - target[:, :n]
@@ -153,9 +130,8 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
     n = len(x)
     work = ForecastModel(model.config, params, model.normalizer)
     epoch_losses = []
-    t0 = time.perf_counter()
     for epoch in range(hp.epochs):
-        order = rng.permutation(n) if hp.shuffle_each_epoch else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for bi, start in enumerate(range(0, n, hp.batch_size)):
             idx = order[start:start + hp.batch_size]
@@ -175,7 +151,6 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
         hyperparams=asdict(hp),
         n_train_samples=n,
         final_train_loss=float(final_loss),
-        wall_clock_s=time.perf_counter() - t0,
     )
     return work, report
 
@@ -187,9 +162,10 @@ def fit_forecaster(series, config: ModelConfig, hp: Hyperparams, train_fraction=
     r = config.lag_r
     train_part, test_part = chronological_split(series, train_fraction, min_len=r + 1)
     norm = fit_normalizer(train_part)
-    x_train, y_train = build_windows(train_part, r)
+    x_train, y_train = build_windows(
+        StateSeries(series.n_buses, norm.apply(train_part.values)), r)
     model = forecaster.init_model(config, hp.seed, norm)
-    model, report = train(model, (norm.apply(x_train), norm.apply(y_train)), hp)
+    model, report = train(model, (x_train, y_train), hp)
     x_test, y_test = build_windows(test_part, r)
     preds = forecaster.forecast_batch(model, x_test)
     report.test_nrmse = evaluation.normalized_rmse(preds, y_test)
@@ -197,29 +173,39 @@ def fit_forecaster(series, config: ModelConfig, hp: Hyperparams, train_fraction=
 
 
 def multi_run(series, config: ModelConfig, hp: Hyperparams, n_runs=20, train_fraction=0.8):
-    """Independent-runs protocol: n_runs trainings from seeds seed..seed+n-1;
-    aggregates test nRMSE. Diverged runs are excluded and counted."""
+    """Independent-runs protocol: n_runs trainings from seeds seed..seed+n-1,
+    each evaluated on the test partition.
+
+    Returns (aggregate, reports, trace): the test-nRMSE aggregate, one
+    MetricsReport per completed run in seed order, and the ErrorTrace of
+    the first completed run. Diverged runs are excluded and counted; when
+    every run diverges, the last DivergenceError is raised."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    runs = []
-    diverged = 0
+    reports, trace, n_diverged = [], None, 0
     for i in range(n_runs):
-        run_hp = replace(hp, seed=hp.seed + i)
         try:
-            _, report, _, _ = fit_forecaster(series, config, run_hp, train_fraction)
-        except DivergenceError:
-            diverged += 1
+            model, _, x_test, y_test = fit_forecaster(
+                series, config, replace(hp, seed=hp.seed + i), train_fraction)
+        except DivergenceError as exc:
+            n_diverged += 1
+            last_divergence = exc
             continue
-        runs.append(report)
-    scores = [r.test_nrmse for r in runs]
-    agg = {
+        metrics, run_trace = evaluation.evaluate(model, x_test, y_test)
+        reports.append(metrics)
+        if trace is None:
+            trace = run_trace
+    if not reports:
+        raise last_divergence
+    scores = [m.nrmse for m in reports]
+    aggregate = {
         "n_runs": n_runs,
-        "n_completed": len(runs),
-        "n_diverged": diverged,
+        "n_completed": len(reports),
+        "n_diverged": n_diverged,
         "base_seed": hp.seed,
-        "nrmse_mean": float(np.mean(scores)) if scores else None,
-        "nrmse_std": float(np.std(scores)) if scores else None,
-        "nrmse_min": float(np.min(scores)) if scores else None,
-        "nrmse_max": float(np.max(scores)) if scores else None,
+        "nrmse_mean": float(np.mean(scores)),
+        "nrmse_std": float(np.std(scores)),
+        "nrmse_min": float(np.min(scores)),
+        "nrmse_max": float(np.max(scores)),
     }
-    return agg, runs
+    return aggregate, reports, trace

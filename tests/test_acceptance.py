@@ -204,7 +204,7 @@ def test_criterion_4_memorization():
     series = generate_synthetic_series(SyntheticConfig(n_buses=3, length=31, seed=1))
     x, y = build_windows(series, 10)
     norm = fit_normalizer(series)
-    xn, yn = norm.apply(x[:20]), norm.apply(y[:20])
+    xn, yn = norm.apply_window(x[:20]), norm.apply(y[:20])
     cfg = ModelConfig(n_buses=3, lag_r=10, conv_filters=8, dense1_width=32,
                       rnn_hidden=16)
     model = init_model(cfg, 7, norm)

@@ -113,6 +113,15 @@ def test_train_parse_error_exit_code(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("rows", ["0,1.0,2.0\n1,nan,2.0\n", "0,1.0,2.0\n0,1.0,2.0\n5,1.0,2.0\n"])
+def test_train_bad_series_exit_code_names_line(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,vm_1,va_1\n" + rows)
+    rc = main(["train", "--data", str(bad), "--model-out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "line 3" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_divergence_exit_code(tmp_path, dataset):
     rc = main(["train", "--data", str(dataset), "--model-out",
@@ -169,6 +178,23 @@ def test_eval_multi_run_aggregate(tmp_path, dataset, model_file):
     assert agg["nrmse_min"] <= agg["nrmse_mean"] <= agg["nrmse_max"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_eval_multi_run_all_diverged_exit_code(tmp_path, dataset, model_file):
+    rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
+               "--report-out", str(tmp_path / "r.txt"), "--runs", "2",
+               "--epochs", "3", "--lr", "1e200"])
+    assert rc == 3
+
+
+def test_eval_compare_rnn_only_needs_hybrid_model(tmp_path, dataset):
+    rnn = tmp_path / "rnn.json"
+    assert main(["train", "--data", str(dataset), "--model-out", str(rnn),
+                 "--epochs", "0", "--baseline", "rnn-only"]) == 0
+    rc = main(["eval", "--model", str(rnn), "--data", str(dataset),
+               "--report-out", str(tmp_path / "r.txt"), "--compare", "rnn-only"])
+    assert rc == 2
+
+
 def test_eval_shape_mismatch_exit_code(tmp_path, model_file):
     other = tmp_path / "other.csv"
     assert main(["gen-data", "--buses", "5", "--length", "60",
@@ -219,6 +245,16 @@ def test_forecast_persistence_reproduces_last_state(tmp_path, dataset, capsys):
             if l.startswith("forecast,")][0]
     vec = np.array([float(v) for v in line.split(",")[2:]])
     np.testing.assert_array_equal(vec, series.values[28])  # state 29, 1-based
+
+
+def test_forecast_non_finite_model_exit_code(tmp_path, dataset, model_file):
+    doc = json.loads(model_file.read_text())
+    doc["params"]["dense3_b"]["data"][0] = "inf"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["forecast", "--model", str(bad), "--data", str(dataset),
+               "--at-instance", "50"])
+    assert rc == 1
 
 
 def test_forecast_out_of_range(tmp_path, dataset, model_file):

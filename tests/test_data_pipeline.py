@@ -23,7 +23,7 @@ def make_series(t, n, seed=0):
 def test_load_well_formed_file(tmp_path):
     path = tmp_path / "grid.csv"
     header = "t,vm_1,vm_2,vm_3,va_1,va_2,va_3"
-    rows = [f"{i},1.0,1.01,0.99,10.0,-5.0,2.5" for i in range(5)]
+    rows = [f"{i / 10},1.0,1.01,0.99,10.0,-5.0,2.5" for i in range(5)]  # uneven float steps
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     series = load_series(path)
     assert series.n_buses == 3
@@ -42,6 +42,32 @@ def test_load_non_numeric_cell_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,vm_1,va_1\n0,1.0,2.0\n1,oops,2.0\n")
     with pytest.raises(DataFormatError, match="line 3"):
+        load_series(path)
+
+
+@pytest.mark.parametrize("row", ["1,1.0,nan", "1,inf,2.0", "nan,1.0,2.0"])
+def test_load_non_finite_cell_names_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,vm_1,va_1\n0,1.0,2.0\n\n{row}\n")
+    with pytest.raises(DataFormatError, match="line 4: non-finite"):
+        load_series(path)
+
+
+@pytest.mark.parametrize("step", [0.1, 1 / 30])
+def test_load_accepts_decimal_steps_at_epoch_offsets(tmp_path, step):
+    path = tmp_path / "grid.csv"
+    rows = "".join(f"{1.7e9 + k * step!r},1.0,2.0\n" for k in range(50))
+    path.write_text("t,vm_1,va_1\n" + rows)
+    assert len(load_series(path)) == 50
+
+
+@pytest.mark.parametrize("ts, line", [("0,0,5", 3), ("0,1,3", 4), ("2,1,0", 3),
+                                      ("1.7e9,1700000000.1,1700000000.3", 4)])
+def test_load_rejects_irregular_time_column(tmp_path, ts, line):
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{t},1.0,2.0\n" for t in ts.split(","))
+    path.write_text("t,vm_1,va_1\n" + rows)
+    with pytest.raises(DataFormatError, match=f"line {line}: t must increase"):
         load_series(path)
 
 
@@ -163,7 +189,7 @@ def test_normalizer_round_trip(rng):
     series = make_series(50, 3, seed=9)
     stats = fit_normalizer(series)
     x = rng.normal(size=(6, 10))
-    back = stats.invert(stats.apply(x.T).T)  # feature-row layout
+    back = stats.invert(stats.apply_window(x).T).T  # x is a (2n, r) window
     npt.assert_allclose(back, x, rtol=1e-12)
     v = rng.normal(size=6)
     npt.assert_allclose(stats.invert(stats.apply(v)), v, rtol=1e-12)
@@ -191,6 +217,24 @@ def test_stats_depend_only_on_training_partition():
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
         fit_normalizer(StateSeries(1, np.zeros((0, 2))))
+
+
+def test_apply_on_square_state_batch_is_row_by_row(rng):
+    # (2n, 2n) is a batch of 2n states, not a window
+    stats = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
+    states = rng.normal(size=(4, 4))
+    npt.assert_array_equal(stats.apply(states), np.stack([stats.apply(s) for s in states]))
+    npt.assert_array_equal(stats.invert(states), np.stack([stats.invert(s) for s in states]))
+
+
+def test_layouts_are_explicit(rng):
+    stats = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
+    windows = rng.normal(size=(3, 4, 5))  # (B, 2n, r)
+    for states_only in (stats.apply, stats.invert):
+        with pytest.raises(ValueError):
+            states_only(windows)
+    with pytest.raises(ValueError):
+        stats.apply_window(windows.transpose(0, 2, 1))
 
 
 def test_identity_normalizer_is_a_noop(rng):

@@ -8,7 +8,6 @@ from gridcast.evaluation import (ErrorTrace, ae_stats, comparison_table,
                                  evaluate, evaluate_predictions,
                                  export_bus_slice_csv, export_instance_slice_csv,
                                  export_trace_csv, normalized_rmse,
-                                 persistence_baseline,
                                  persistence_predictions)
 from gridcast.data_pipeline import SyntheticConfig, build_windows, generate_synthetic_series
 from gridcast.forecaster import ModelConfig, init_model
@@ -95,7 +94,7 @@ def test_max_ae_at_least_avg_and_order_invariant(rng):
     assert rep.max_ae_angle >= rep.avg_ae_angle
     perm = rng.permutation(6)
     rep2 = ae_stats(preds[perm], truths[perm], 4)
-    assert rep2.to_dict() == rep.to_dict()
+    assert rep2 == rep
 
 
 def test_ae_stats_rejects_mismatch():
@@ -109,7 +108,7 @@ def test_ae_stats_rejects_mismatch():
 
 def test_persistence_returns_last_column(rng):
     window = rng.normal(size=(6, 5))
-    npt.assert_array_equal(persistence_baseline(window), window[:, -1])
+    npt.assert_array_equal(persistence_predictions(window[None])[0], window[:, -1])
 
 
 def test_persistence_zero_error_on_constant_series():
@@ -139,7 +138,7 @@ def test_evaluate_shapes_and_determinism(rng):
     rep1, tr1 = evaluate(model, x, y)
     rep2, tr2 = evaluate(model, x, y)
     assert tr1.ae_vm.shape == (7, 2) and tr1.ae_va.shape == (7, 2)
-    assert rep1.to_dict() == rep2.to_dict()
+    assert rep1 == rep2
     npt.assert_array_equal(tr1.ae_vm, tr2.ae_vm)
 
 

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcast import layers
 from gridcast.data_pipeline import Normalizer
@@ -8,10 +12,12 @@ from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, ModelParseError,
                                  ModelShapeError, ModelVersionError,
                                  _param_shapes, cnn_branch_forward,
-                                 cnn_branch_param_names, forecast_next,
-                                 init_model, load_model, model_forward,
+                                 cnn_branch_param_names, forecast_batch,
+                                 forecast_next, init_model, load_model, model_forward,
                                  param_count, rnn_branch_forward,
                                  rnn_branch_param_names, save_model)
+
+from conftest import rnn_cell_step
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 
@@ -150,7 +156,7 @@ def test_rnn_branch_matches_unrolled_chain(rng):
     out = rnn_branch_forward(model, window)
     h = np.zeros(4)
     for t in range(3):
-        h = layers.rnn_cell_step(p["rnn0_wx"], p["rnn0_wh"], p["rnn0_b"], window[:, t], h)
+        h = rnn_cell_step(p["rnn0_wx"], p["rnn0_wh"], p["rnn0_b"], window[:, t], h)
     expected = p["dense3_w"] @ h + p["dense3_b"]
     npt.assert_allclose(out, expected, atol=1e-12)
 
@@ -162,9 +168,25 @@ def test_forecast_layout_and_normalization(rng):
     window = rng.normal(size=(4, 3))
     out = forecast_next(model, window)
     assert out.shape == (4,)
-    vm = cnn_branch_forward(model, norm.apply(window))
-    va = rnn_branch_forward(model, norm.apply(window))
+    vm = cnn_branch_forward(model, norm.apply_window(window))
+    va = rnn_branch_forward(model, norm.apply_window(window))
     npt.assert_allclose(out, norm.invert(np.concatenate([vm, va])), atol=1e-12)
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_forecast_batch_matches_stacked_forecast_next(n, seed):
+    # every batch size 1..3n, so B == 2n (a square (B, 2n) prediction
+    # batch) is always among them
+    rng = np.random.default_rng(seed)
+    norm = Normalizer(rng.normal(scale=10.0, size=2 * n), rng.uniform(0.5, 3.0, 2 * n))
+    cfg = ModelConfig(n_buses=n, lag_r=3, conv_filters=2, rnn_hidden=4)
+    model = init_model(cfg, seed, norm)
+    windows = norm.mean[:, None] + norm.std[:, None] * rng.normal(size=(3 * n, 2 * n, 3))
+    for b in range(1, 3 * n + 1):
+        batch = forecast_batch(model, windows[:b])
+        single = np.stack([forecast_next(model, w) for w in windows[:b]])
+        assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single)), b
 
 
 def test_forecast_rejects_bad_windows(rng):
@@ -245,7 +267,6 @@ def test_load_version_mismatch(tmp_path):
 
 
 def test_load_shape_inconsistency(tmp_path):
-    import json
     model = tiny_model()
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -253,6 +274,22 @@ def test_load_shape_inconsistency(tmp_path):
     doc["params"]["conv_b"]["data"].append(float(0.0).hex())
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelShapeError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("normalizer", "mean", "nan"),
+    ("normalizer", "std", "inf"),
+    ("params", "dense3_w", "-inf"),
+])
+def test_load_rejects_non_finite_values(tmp_path, section, name, value):
+    path = tmp_path / "model.json"
+    save_model(tiny_model(), path)
+    doc = json.loads(path.read_text())
+    entry = doc[section][name]
+    (entry if section == "normalizer" else entry["data"])[0] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError, match="non-finite"):
         load_model(path)
 
 

@@ -8,11 +8,10 @@ from gridcast import layers
 from gridcast.layers import (ShapeError, conv1d_backward, conv1d_forward,
                              dense_backward, dense_forward, flatten_backward,
                              flatten_forward, maxpool_backward,
-                             maxpool_forward, relu, rnn_cell_step,
-                             stacked_rnn_backward, stacked_rnn_forward,
-                             unflatten)
+                             maxpool_forward, relu, stacked_rnn_backward,
+                             stacked_rnn_forward)
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, rel_err, rnn_cell_step
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,8 @@ def test_flatten_examples():
 @settings(max_examples=50)
 def test_flatten_is_a_bijection(k, q, seed):
     m = np.random.default_rng(seed).normal(size=(k, q))
-    flat, _ = flatten_forward(m[None])
-    npt.assert_array_equal(unflatten(flat[0], k, q), m)
+    flat, cache = flatten_forward(m[None])
+    npt.assert_array_equal(flatten_backward(cache, flat)[0], m)
 
 
 def test_flatten_backward_is_inverse(rng):

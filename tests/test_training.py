@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gridcast import forecaster, training
+from gridcast import evaluation, forecaster, training
 from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series
 from gridcast.forecaster import ModelConfig, init_model
 from gridcast.training import (AdamState, DivergenceError, Hyperparams,
                                adam_step, batch_loss_and_grads,
-                               fit_forecaster, joint_loss_and_grad, mse_grad,
-                               mse_loss, multi_run, train)
+                               fit_forecaster, joint_loss_and_grad, multi_run,
+                               train)
 
 from conftest import central_diff, rel_err
 
@@ -25,21 +27,25 @@ def tiny_data(n_samples=6, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_mse_trivial_cases():
-    assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert mse_loss([1.5, 2.5, 3.5], [1.0, 2.0, 3.0]) == pytest.approx(0.25)
+    target = np.array([[1.0, 2.0, 3.0, 4.0]])
+    loss, d = joint_loss_and_grad(target.copy(), target, 2)
+    assert loss == 0.0
+    npt.assert_array_equal(d, np.zeros_like(target))
+    loss, _ = joint_loss_and_grad(target + 0.5, target, 2)
+    assert loss == pytest.approx(0.5)  # 0.25 per head
     with pytest.raises(ValueError):
-        mse_loss([1.0], [1.0, 2.0])
+        joint_loss_and_grad(target[:, :2], target, 2)
 
 
 def test_mse_gradient_matches_finite_differences(rng):
-    pred = rng.normal(size=8)
-    target = rng.normal(size=8)
-    g = mse_grad(pred, target)
+    pred = rng.normal(size=(3, 4))
+    target = rng.normal(size=(3, 4))
+    _, d = joint_loss_and_grad(pred, target, 2)
 
     def loss():
-        return mse_loss(pred, target)
+        return joint_loss_and_grad(pred, target, 2)[0]
 
-    assert np.max(np.abs(g - central_diff(loss, pred, h=1e-6))) < 1e-8
+    assert np.max(np.abs(d - central_diff(loss, pred, h=1e-6))) < 1e-8
 
 
 def test_joint_loss_uniform_error():
@@ -220,19 +226,27 @@ def small_series():
 def test_multi_run_single_equals_run(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
-    agg, runs = multi_run(small_series, cfg, hp, n_runs=1)
+    agg, reports, trace = multi_run(small_series, cfg, hp, n_runs=1)
+    model, report, x_test, y_test = fit_forecaster(small_series, cfg, hp)
     assert agg["n_completed"] == 1
-    assert agg["nrmse_mean"] == runs[0].test_nrmse
+    assert agg["nrmse_mean"] == reports[0].nrmse == report.test_nrmse
     assert agg["nrmse_std"] == 0.0
+    expected, expected_trace = evaluation.evaluate(model, x_test, y_test)
+    assert reports[0] == expected
+    npt.assert_array_equal(trace.ae_va, expected_trace.ae_va)
 
 
 def test_multi_run_aggregate_consistency(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
-    agg, runs = multi_run(small_series, cfg, hp, n_runs=3)
+    agg, reports, _ = multi_run(small_series, cfg, hp, n_runs=3)
     assert agg["n_completed"] == 3
     assert agg["nrmse_min"] <= agg["nrmse_mean"] <= agg["nrmse_max"]
-    agg2, _ = multi_run(small_series, cfg, hp, n_runs=3)
+    agg2, _, _ = multi_run(small_series, cfg, hp, n_runs=3)
     assert agg == agg2
-    # distinct seeds per run
-    assert [r.seed for r in runs] == [1, 2, 3]
+    # distinct seeds per run: run i is the protocol at seed 1 + i
+    for i, got in enumerate(reports):
+        model, _, x_test, y_test = fit_forecaster(small_series, cfg, replace(hp, seed=1 + i))
+        assert got == evaluation.evaluate(model, x_test, y_test)[0]
+    assert len({r.nrmse for r in reports}) == 3
+
