@@ -95,7 +95,7 @@ def cmd_train(args):
     series = load_series(args.data)
     config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
     hp = _hyperparams_from(args)
-    model, report, _, _ = training.fit_forecaster(
+    model, report, *_ = training.fit_forecaster(
         series, config, hp, train_fraction=args.train_fraction)
     save_model(model, args.model_out)
     report_path = args.report_out or (args.model_out + ".report.json")

@@ -39,15 +39,6 @@ class ErrorTrace:
     ae_vm: np.ndarray
     ae_va: np.ndarray
 
-    def at_instance(self, i):
-        """Per-bus errors for one test instance (1-based, matching reports)."""
-        return self.ae_vm[i - 1], self.ae_va[i - 1]
-
-    def for_bus(self, bus, start, stop):
-        """Errors of one bus (1-based) over [start, stop) instances (1-based)."""
-        sl = slice(start - 1, stop - 1)
-        return self.ae_vm[sl, bus - 1], self.ae_va[sl, bus - 1]
-
 
 def _as_2d(values):
     a = np.asarray(values, dtype=float)
@@ -122,24 +113,6 @@ def export_trace_csv(trace: ErrorTrace, path):
             for b in range(n):
                 fh.write(f"{i + 1},{b + 1},{float(trace.ae_vm[i, b])!r},"
                          f"{float(trace.ae_va[i, b])!r}\n")
-
-
-def export_instance_slice_csv(trace: ErrorTrace, instance, path):
-    """Per-bus errors at one test instance (all-buses view)."""
-    vm, va = trace.at_instance(instance)
-    with atomic_write(path) as fh:
-        fh.write("bus,ae_vm,ae_va\n")
-        for b in range(len(vm)):
-            fh.write(f"{b + 1},{float(vm[b])!r},{float(va[b])!r}\n")
-
-
-def export_bus_slice_csv(trace: ErrorTrace, bus, start, stop, path):
-    """One bus's errors over an instance range (time-trace view)."""
-    vm, va = trace.for_bus(bus, start, stop)
-    with atomic_write(path) as fh:
-        fh.write("instance,ae_vm,ae_va\n")
-        for i in range(len(vm)):
-            fh.write(f"{start + i},{float(vm[i])!r},{float(va[i])!r}\n")
 
 
 def comparison_table(reports: dict) -> str:

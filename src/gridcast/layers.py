@@ -5,6 +5,18 @@ returns its output together with a cache object, and the matching backward
 consumes that cache plus the upstream gradient. Inputs carry a leading
 batch axis.
 
+The conv and RNN kernels are BLAS GEMMs. Input windows may arrive in any
+memory layout (C-ordered, or the time-major one of `build_windows` and
+`series.values[a:b].T`); each kernel copies into the layout its GEMMs read.
+  * conv, on the (B, r, C) view xt: pre[:, q] = sum_j xt[:, q + j] @ w[:, :, j].T + b,
+    one GEMM for all taps and columns, then shifted tap slices summed.
+    Backward: dw[..., j] = d_pre^T @ xt[:, j:j + p], and dx sums the
+    shifted taps of one d_pre @ w GEMM.
+  * stacked RNN, layers outside and time inside on (r, B, H) buffers: a
+    layer's input projection below @ wx.T + b is one GEMM for all r steps;
+    only h[t - 1] @ wh.T stays in the step loop. Backward fills d_pre over
+    t, then dwx, dwh and d_below = d_pre @ wx are one GEMM each over r*B rows.
+
 Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
   * max pooling is non-overlapping, stride == pool width, trailing
@@ -35,39 +47,43 @@ def relu_grad(pre, upstream):
 # 1D convolution over adjacent column pairs
 # ---------------------------------------------------------------------------
 
-def _conv_windows(x, kernel):
-    # x: (B, C, r) -> (B, C, kernel, r - kernel + 1)
-    p = x.shape[2] - kernel + 1
-    return np.stack([x[:, :, i:i + kernel] for i in range(p)], axis=-1)
-
-
 def conv1d_forward(x, w, b):
     """x: (B, C, r); w: (K, C, kernel); b: (K,) -> out (B, K, r-kernel+1), cache."""
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d expects 3-d input and weights, got {x.shape} / {w.shape}")
-    kernel = w.shape[2]
-    if w.shape[1] != x.shape[1]:
-        raise ShapeError(f"filter rows {w.shape[1]} != input rows {x.shape[1]}")
-    if x.shape[2] < kernel:
-        raise ShapeError(f"sequence length {x.shape[2]} shorter than kernel {kernel}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
-    windows = _conv_windows(x, kernel)
-    pre = np.einsum("kcj,bcjp->bkp", w, windows) + b[None, :, None]
+    b_, c, r = x.shape
+    k, _, kernel = w.shape
+    if w.shape[1] != c:
+        raise ShapeError(f"filter rows {w.shape[1]} != input rows {c}")
+    if r < kernel:
+        raise ShapeError(f"sequence length {r} shorter than kernel {kernel}")
+    if b.shape != (k,):
+        raise ShapeError(f"bias shape {b.shape} != ({k},)")
+    p = r - kernel + 1
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1))
+    # taps[:, t, j] = w[:, :, j] @ x[:, :, t]; output position q sums taps[:, q + j, j]
+    taps = (xt.reshape(b_ * r, c) @ w.transpose(2, 0, 1).reshape(kernel * k, c).T
+            ).reshape(b_, r, kernel, k)
+    pre = (sum(taps[:, j:j + p, j] for j in range(kernel)) + b).transpose(0, 2, 1)
     return relu(pre), (x, w, pre)
 
 
 def conv1d_backward(cache, d_out):
     x, w, pre = cache
-    kernel = w.shape[2]
-    d_pre = relu_grad(pre, d_out)
-    windows = _conv_windows(x, kernel)
-    dw = np.einsum("bkp,bcjp->kcj", d_pre, windows)
-    db = d_pre.sum(axis=(0, 2))
-    dx = np.zeros_like(x)
-    for p in range(pre.shape[2]):
-        dx[:, :, p:p + kernel] += np.einsum("bk,kcj->bcj", d_pre[:, :, p], w)
-    return (dw, db), dx
+    b_, c, r = x.shape
+    k, _, kernel = w.shape
+    p = pre.shape[2]
+    d_pre = np.ascontiguousarray(relu_grad(pre, d_out).transpose(0, 2, 1)).reshape(b_ * p, k)
+    xt = x.transpose(0, 2, 1)
+    dw = np.empty_like(w)
+    for j in range(kernel):
+        dw[:, :, j] = d_pre.T @ xt[:, j:j + p].reshape(b_ * p, c)
+    db = d_pre.sum(axis=0)
+    d_taps = (d_pre @ w.transpose(0, 2, 1).reshape(k, kernel * c)).reshape(b_, p, kernel, c)
+    dxt = np.zeros((b_, r, c))
+    for j in range(kernel):
+        dxt[:, j:j + p] += d_taps[:, :, j]
+    return (dw, db), dxt.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,45 +179,48 @@ def stacked_rnn_forward(x, layer_params):
         if bias.shape != (wh.shape[0],):
             raise ShapeError(f"layer {i}: bias shape {bias.shape} != ({wh.shape[0]},)")
         in_dim = wh.shape[0]
-    n_layers = len(layer_params)
-    # hidden[l][t] is layer l's state after consuming t columns; hidden[l][0] = 0
-    hidden = [[np.zeros((b_, wh.shape[0]))] for (wx, wh, bias) in layer_params]
-    pres = [[None] * r for _ in range(n_layers)]
-    for t in range(r):
-        below = x[:, :, t]
-        for l, (wx, wh, bias) in enumerate(layer_params):
-            pre = below @ wx.T + hidden[l][t] @ wh.T + bias
-            h = relu(pre)
-            pres[l][t] = pre
-            hidden[l].append(h)
-            below = h
-    return hidden[-1][r], (x, layer_params, pres, hidden)
+    xs = np.ascontiguousarray(x.transpose(2, 0, 1))
+    below = xs
+    pres, hidden = [], []
+    for wx, wh, bias in layer_params:
+        pre = (below.reshape(r * b_, wx.shape[1]) @ wx.T).reshape(r, b_, wx.shape[0])
+        pre += bias
+        # h[t] is the layer's state after consuming columns 0..t; the state
+        # before column 0 is zero, so step 0 has no recurrent term
+        h = np.empty_like(pre)
+        np.maximum(pre[0], 0.0, out=h[0])
+        for t in range(1, r):
+            pre[t] += h[t - 1] @ wh.T
+            np.maximum(pre[t], 0.0, out=h[t])
+        pres.append(pre)
+        hidden.append(h)
+        below = h
+    return hidden[-1][-1], (x, layer_params, pres, hidden, xs)
 
 
 def stacked_rnn_backward(cache, d_top):
     """Backpropagation through time; d_top is the gradient w.r.t. the final
     top-layer hidden state. Returns ([(dwx, dwh, db) per layer], dx)."""
-    x, layer_params, pres, hidden = cache
-    n_layers = len(layer_params)
-    b_, d, r = x.shape
-    grads = [(np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(bias))
-             for (wx, wh, bias) in layer_params]
-    dx = np.zeros_like(x)
-    # d_h[l] holds the gradient w.r.t. hidden[l][t+1] while processing step t
-    d_h = [np.zeros_like(hidden[l][0]) for l in range(n_layers)]
-    d_h[-1] = np.array(d_top, dtype=float, copy=True)
-    for t in reversed(range(r)):
-        for l in reversed(range(n_layers)):
-            wx, wh, bias = layer_params[l]
-            d_pre = relu_grad(pres[l][t], d_h[l])
-            below = x[:, :, t] if l == 0 else hidden[l - 1][t + 1]
-            dwx, dwh, db = grads[l]
-            dwx += d_pre.T @ below
-            dwh += d_pre.T @ hidden[l][t]
-            db += d_pre.sum(axis=0)
-            if l > 0:
-                d_h[l - 1] += d_pre @ wx
-            else:
-                dx[:, :, t] += d_pre @ wx
-            d_h[l] = d_pre @ wh
-    return grads, dx
+    x, layer_params, pres, hidden, xs = cache
+    b_, _, r = x.shape
+    grads = [None] * len(layer_params)
+    # d_states[t]: gradient w.r.t. the current layer's h[t] from the layer above
+    d_states = np.zeros_like(hidden[-1])
+    d_states[-1] = d_top
+    for l in reversed(range(len(layer_params))):
+        wx, wh, _ = layer_params[l]
+        pre, h = pres[l], hidden[l]
+        d_pre = np.empty_like(pre)
+        d_h = d_states[r - 1]
+        for t in reversed(range(r)):
+            d_pre[t] = relu_grad(pre[t], d_h)
+            if t:
+                d_h = d_states[t - 1] + d_pre[t] @ wh
+        n_out, n_in = wx.shape
+        below = xs if l == 0 else hidden[l - 1]
+        rows = d_pre.reshape(r * b_, n_out)
+        grads[l] = (rows.T @ below.reshape(r * b_, n_in),
+                    rows[b_:].T @ h[:-1].reshape((r - 1) * b_, n_out),
+                    rows.sum(axis=0))
+        d_states = (rows @ wx).reshape(r, b_, n_in)
+    return grads, d_states.transpose(1, 2, 0)

@@ -144,7 +144,8 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
             work = ForecastModel(model.config, params, model.normalizer)
             total += loss * len(idx)
         epoch_losses.append(total / n)
-    final_loss, _ = batch_loss_and_grads(work, x, y)
+    pred, _ = forecaster.model_forward(work, x)
+    final_loss, _ = joint_loss_and_grad(pred, y, model.config.n_buses)
     report = TrainReport(
         epoch_losses=epoch_losses,
         seed=hp.seed,
@@ -158,7 +159,8 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
 def fit_forecaster(series, config: ModelConfig, hp: Hyperparams, train_fraction=0.8):
     """Full pipeline on a raw series: chronological split, normalizer fit on
     the training partition only, windowing inside each partition, training,
-    and test evaluation. Returns (model, report, test windows, test targets)."""
+    and test evaluation. Returns (model, report, test windows, test targets,
+    test predictions), the predictions in physical units."""
     r = config.lag_r
     train_part, test_part = chronological_split(series, train_fraction, min_len=r + 1)
     norm = fit_normalizer(train_part)
@@ -169,7 +171,7 @@ def fit_forecaster(series, config: ModelConfig, hp: Hyperparams, train_fraction=
     x_test, y_test = build_windows(test_part, r)
     preds = forecaster.forecast_batch(model, x_test)
     report.test_nrmse = evaluation.normalized_rmse(preds, y_test)
-    return model, report, x_test, y_test
+    return model, report, x_test, y_test, preds
 
 
 def multi_run(series, config: ModelConfig, hp: Hyperparams, n_runs=20, train_fraction=0.8):
@@ -185,13 +187,13 @@ def multi_run(series, config: ModelConfig, hp: Hyperparams, n_runs=20, train_fra
     reports, trace, n_diverged = [], None, 0
     for i in range(n_runs):
         try:
-            model, _, x_test, y_test = fit_forecaster(
+            model, _, _, y_test, preds = fit_forecaster(
                 series, config, replace(hp, seed=hp.seed + i), train_fraction)
         except DivergenceError as exc:
             n_diverged += 1
             last_divergence = exc
             continue
-        metrics, run_trace = evaluation.evaluate(model, x_test, y_test)
+        metrics, run_trace = evaluation.evaluate_predictions(preds, y_test, config.n_buses)
         reports.append(metrics)
         if trace is None:
             trace = run_trace

@@ -52,6 +52,76 @@ def rnn_cell_step(wx, wh, b, below, prev_hidden):
     return np.maximum(wx @ below + wh @ prev_hidden + b, 0.0)
 
 
+def _conv_windows(x, kernel):
+    # x: (B, C, r) -> (B, C, kernel, r - kernel + 1)
+    p = x.shape[2] - kernel + 1
+    return np.stack([x[:, :, i:i + kernel] for i in range(p)], axis=-1)
+
+
+def oracle_conv1d_forward(x, w, b):
+    """Reference conv: one einsum over a stacked copy of every window.
+    Returns (out, pre)."""
+    pre = np.einsum("kcj,bcjp->bkp", w, _conv_windows(x, w.shape[2])) + b[None, :, None]
+    return np.maximum(pre, 0.0), pre
+
+
+def oracle_conv1d_backward(x, w, pre, d_out):
+    """Reference conv backward: einsum weight gradient and a per-position
+    input-gradient loop. Returns ((dw, db), dx)."""
+    kernel = w.shape[2]
+    d_pre = d_out * (pre > 0.0)
+    dw = np.einsum("bkp,bcjp->kcj", d_pre, _conv_windows(x, kernel))
+    db = d_pre.sum(axis=(0, 2))
+    dx = np.zeros(x.shape)
+    for p in range(pre.shape[2]):
+        dx[:, :, p:p + kernel] += np.einsum("bk,kcj->bcj", d_pre[:, :, p], w)
+    return (dw, db), dx
+
+
+def oracle_stacked_rnn_forward(x, layer_params):
+    """Reference stacked RNN: every sample, step and layer through
+    rnn_cell_step. Returns (top state (B, H), hidden) where hidden[l][t]
+    is layer l's (B, H) state after t columns and hidden[l][0] = 0."""
+    b_, _, r = x.shape
+    hidden = [[np.zeros((b_, wh.shape[0]))] for _, wh, _ in layer_params]
+    for t in range(r):
+        below = x[:, :, t]
+        for l, (wx, wh, bias) in enumerate(layer_params):
+            h = np.stack([rnn_cell_step(wx, wh, bias, below[i], hidden[l][t][i])
+                          for i in range(b_)])
+            hidden[l].append(h)
+            below = h
+    return hidden[-1][r], hidden
+
+
+def oracle_stacked_rnn_backward(x, layer_params, hidden, d_top):
+    """Reference BPTT: time outside, layers inside, one step at a time.
+    A state is positive exactly where its pre-activation is, so the ReLU
+    mask is read off the hidden states. Returns ([(dwx, dwh, db)], dx)."""
+    n_layers = len(layer_params)
+    r = x.shape[2]
+    grads = [tuple(np.zeros_like(a) for a in layer) for layer in layer_params]
+    dx = np.zeros(x.shape)
+    # d_h[l] holds the gradient w.r.t. hidden[l][t + 1] while processing step t
+    d_h = [np.zeros_like(hidden[l][0]) for l in range(n_layers)]
+    d_h[-1] = np.array(d_top, dtype=float, copy=True)
+    for t in reversed(range(r)):
+        for l in reversed(range(n_layers)):
+            wx, wh, _ = layer_params[l]
+            d_pre = d_h[l] * (hidden[l][t + 1] > 0.0)
+            below = x[:, :, t] if l == 0 else hidden[l - 1][t + 1]
+            dwx, dwh, db = grads[l]
+            dwx += d_pre.T @ below
+            dwh += d_pre.T @ hidden[l][t]
+            db += d_pre.sum(axis=0)
+            if l > 0:
+                d_h[l - 1] += d_pre @ wx
+            else:
+                dx[:, :, t] += d_pre @ wx
+            d_h[l] = d_pre @ wh
+    return grads, dx
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

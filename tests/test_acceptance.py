@@ -228,7 +228,7 @@ def test_criterion_5_beats_persistence(shipped_series):
     cfg = ModelConfig(n_buses=14, lag_r=10)
     ratios = []
     for seed in range(5):
-        _, report, x_test, y_test = fit_forecaster(
+        _, report, x_test, y_test, _ = fit_forecaster(
             shipped_series, cfg, Hyperparams(epochs=15, seed=seed))
         pers = normalized_rmse(persistence_predictions(x_test), y_test)
         ratios.append(report.test_nrmse / pers)
@@ -246,8 +246,8 @@ def test_criterion_6_baseline_parity_harness(shipped_series):
     hp = Hyperparams(epochs=5, seed=0)
     hybrid_cfg = ModelConfig(n_buses=14, lag_r=10)
     rnn_cfg = ModelConfig(n_buses=14, lag_r=10, kind=forecaster.RNN_ONLY)
-    hmodel, _, x_test, y_test = fit_forecaster(shipped_series, hybrid_cfg, hp)
-    rmodel, _, _, _ = fit_forecaster(shipped_series, rnn_cfg, hp)
+    hmodel, _, x_test, y_test, _ = fit_forecaster(shipped_series, hybrid_cfg, hp)
+    rmodel, _, _, _, _ = fit_forecaster(shipped_series, rnn_cfg, hp)
     h_rep, _ = evaluation.evaluate(hmodel, x_test, y_test)
     r_rep, _ = evaluation.evaluate(rmodel, x_test, y_test)
     p_rep, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 14)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from gridcast.evaluation import (ErrorTrace, ae_stats, comparison_table,
                                  evaluate, evaluate_predictions,
-                                 export_bus_slice_csv, export_instance_slice_csv,
                                  export_trace_csv, normalized_rmse,
                                  persistence_predictions)
-from gridcast.data_pipeline import SyntheticConfig, build_windows, generate_synthetic_series
+from gridcast.data_pipeline import (SyntheticConfig, atomic_write, build_windows,
+                                    generate_synthetic_series)
 from gridcast.forecaster import ModelConfig, init_model
 
 
@@ -169,11 +169,40 @@ def test_report_recomputable_from_exported_trace(tmp_path, rng):
     assert ae_va.max() == rep.max_ae_angle
 
 
+def at_instance(trace, i):
+    """Per-bus errors for one test instance (1-based, matching reports)."""
+    return trace.ae_vm[i - 1], trace.ae_va[i - 1]
+
+
+def for_bus(trace, bus, start, stop):
+    """Errors of one bus (1-based) over [start, stop) instances (1-based)."""
+    sl = slice(start - 1, stop - 1)
+    return trace.ae_vm[sl, bus - 1], trace.ae_va[sl, bus - 1]
+
+
+def export_instance_slice_csv(trace, instance, path):
+    """Per-bus errors at one test instance (all-buses view)."""
+    vm, va = at_instance(trace, instance)
+    with atomic_write(path) as fh:
+        fh.write("bus,ae_vm,ae_va\n")
+        for b in range(len(vm)):
+            fh.write(f"{b + 1},{float(vm[b])!r},{float(va[b])!r}\n")
+
+
+def export_bus_slice_csv(trace, bus, start, stop, path):
+    """One bus's errors over an instance range (time-trace view)."""
+    vm, va = for_bus(trace, bus, start, stop)
+    with atomic_write(path) as fh:
+        fh.write("instance,ae_vm,ae_va\n")
+        for i in range(len(vm)):
+            fh.write(f"{start + i},{float(vm[i])!r},{float(va[i])!r}\n")
+
+
 def test_trace_slices(tmp_path, rng):
     tr = ErrorTrace(rng.uniform(size=(10, 3)), rng.uniform(size=(10, 3)))
-    vm, va = tr.at_instance(4)
+    vm, va = at_instance(tr, 4)
     npt.assert_array_equal(vm, tr.ae_vm[3])
-    vm, va = tr.for_bus(2, 3, 8)
+    vm, va = for_bus(tr, 2, 3, 8)
     npt.assert_array_equal(vm, tr.ae_vm[2:7, 1])
     export_instance_slice_csv(tr, 4, tmp_path / "inst.csv")
     export_bus_slice_csv(tr, 2, 3, 8, tmp_path / "bus.csv")

@@ -1,17 +1,20 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcast import layers
+from gridcast.data_pipeline import StateSeries, build_windows
 from gridcast.layers import (ShapeError, conv1d_backward, conv1d_forward,
                              dense_backward, dense_forward, flatten_backward,
                              flatten_forward, maxpool_backward,
                              maxpool_forward, relu, stacked_rnn_backward,
                              stacked_rnn_forward)
 
-from conftest import central_diff, rel_err, rnn_cell_step
+from conftest import (central_diff, oracle_conv1d_backward, oracle_conv1d_forward,
+                      oracle_stacked_rnn_backward, oracle_stacked_rnn_forward,
+                      rel_err, rnn_cell_step)
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +326,77 @@ def test_layer_determinism(rng):
     a1, _ = conv1d_forward(x, w, b)
     a2, _ = conv1d_forward(x.copy(), w.copy(), b.copy())
     npt.assert_array_equal(a1, a2)
+
+
+# ---------------------------------------------------------------------------
+# GEMM kernels against the einsum / per-step oracles, in every input layout
+# ---------------------------------------------------------------------------
+
+LAYOUTS = ("c-ordered", "build_windows", "values-slice")
+
+
+def _windows(layout, g, b, d, r):
+    """(b, d, r) windows: C-ordered, the time-major stack of build_windows,
+    or the single transposed series slice `values[a:a + r].T` (b = 1)."""
+    values = g.normal(size=(b + r, d))
+    if layout == "values-slice":
+        x = values[1:1 + r].T[None]
+    else:
+        x = build_windows(StateSeries(d // 2, values), r)[0]
+        if layout == "c-ordered":
+            x = np.ascontiguousarray(x)
+    if layout != "c-ordered" and r > 1 and d > 1:
+        assert not x.flags.c_contiguous
+    return x
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    """Max abs error within tol of the reference's largest magnitude."""
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    assert float(np.max(np.abs(got - want))) <= tol * scale
+
+
+@given(st.integers(1, 40), st.sampled_from([2, 3]), st.integers(1, 4), st.integers(0, 4),
+       st.integers(1, 5), st.sampled_from(LAYOUTS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conv_kernels_match_einsum_oracle(b, kernel, n, extra, k, layout, seed):
+    g = np.random.default_rng(seed)
+    r = kernel + extra
+    x = _windows(layout, g, b, 2 * n, r)
+    w = g.normal(size=(k, 2 * n, kernel))
+    bias = g.normal(size=k)
+    out, cache = conv1d_forward(x, w, bias)
+    want_out, want_pre = oracle_conv1d_forward(x, w, bias)
+    assert_rel_close(out, want_out)
+    d_out = g.normal(size=out.shape)
+    (dw, db), dx = conv1d_backward(cache, d_out)
+    (want_dw, want_db), want_dx = oracle_conv1d_backward(x, w, want_pre, d_out)
+    assert_rel_close(dw, want_dw)
+    assert_rel_close(db, want_db)
+    assert_rel_close(dx, want_dx)
+
+
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 4), st.integers(1, 9),
+       st.integers(1, 6), st.sampled_from(LAYOUTS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_rnn_kernels_match_per_step_oracle(b, n_layers, n, hidden, r, layout, seed):
+    d = 2 * n
+    assume(hidden != d)
+    g = np.random.default_rng(seed)
+    x = _windows(layout, g, b, d, r)
+    params, in_dim = [], d
+    for _ in range(n_layers):
+        params.append((g.normal(size=(hidden, in_dim)), g.normal(size=(hidden, hidden)) * 0.5,
+                       g.normal(size=hidden)))
+        in_dim = hidden
+    top, cache = stacked_rnn_forward(x, params)
+    want_top, want_hidden = oracle_stacked_rnn_forward(x, params)
+    assert_rel_close(top, want_top)
+    d_top = g.normal(size=top.shape)
+    grads, dx = stacked_rnn_backward(cache, d_top)
+    want_grads, want_dx = oracle_stacked_rnn_backward(x, params, want_hidden, d_top)
+    assert_rel_close(dx, want_dx)
+    for layer, want_layer in zip(grads, want_grads):
+        for got, want in zip(layer, want_layer):
+            assert_rel_close(got, want)

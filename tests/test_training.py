@@ -130,6 +130,13 @@ def test_train_deterministic():
     assert ra.epoch_losses == rb.epoch_losses
 
 
+def test_final_train_loss_is_full_batch_loss_of_trained_model():
+    x, y = tiny_data()
+    trained, report = train(init_model(ModelConfig(**TINY), 1), (x, y),
+                            Hyperparams(epochs=3, batch_size=4, seed=2))
+    assert report.final_train_loss == batch_loss_and_grads(trained, x, y)[0]
+
+
 def test_train_does_not_mutate_input_model():
     model = init_model(ModelConfig(**TINY), 1)
     before = {k: p.copy() for k, p in model.params.items()}
@@ -210,7 +217,7 @@ def test_memorization_small():
 def test_first_epoch_loss_decreases_on_synthetic_default():
     series = generate_synthetic_series(SyntheticConfig(n_buses=4, length=200, seed=0))
     cfg = ModelConfig(n_buses=4, lag_r=10)
-    model, report, _, _ = fit_forecaster(series, cfg, Hyperparams(epochs=2, seed=0))
+    model, report, _, _, _ = fit_forecaster(series, cfg, Hyperparams(epochs=2, seed=0))
     assert report.epoch_losses[1] < report.epoch_losses[0]
 
 
@@ -227,7 +234,8 @@ def test_multi_run_single_equals_run(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
     agg, reports, trace = multi_run(small_series, cfg, hp, n_runs=1)
-    model, report, x_test, y_test = fit_forecaster(small_series, cfg, hp)
+    model, report, x_test, y_test, preds = fit_forecaster(small_series, cfg, hp)
+    npt.assert_array_equal(preds, forecaster.forecast_batch(model, x_test))
     assert agg["n_completed"] == 1
     assert agg["nrmse_mean"] == reports[0].nrmse == report.test_nrmse
     assert agg["nrmse_std"] == 0.0
@@ -246,7 +254,7 @@ def test_multi_run_aggregate_consistency(small_series):
     assert agg == agg2
     # distinct seeds per run: run i is the protocol at seed 1 + i
     for i, got in enumerate(reports):
-        model, _, x_test, y_test = fit_forecaster(small_series, cfg, replace(hp, seed=1 + i))
+        model, _, x_test, y_test, _ = fit_forecaster(small_series, cfg, replace(hp, seed=1 + i))
         assert got == evaluation.evaluate(model, x_test, y_test)[0]
     assert len({r.nrmse for r in reports}) == 3
 
