@@ -8,12 +8,14 @@ the stacked recurrent branch (L recurrent layers -> dense linear) emits
 the n phase angles. The RNN-only baseline is the same recurrent stack
 followed by a single linear head with 2n outputs.
 
-Model files are self-describing JSON with every float serialized via
-float.hex(), so save/load round trips are bit-exact.
+Model files are self-describing JSON (gridcast-model-v2) holding each float
+array as base64 of its C-ordered little-endian float64 bytes, so save/load
+round trips are bit-exact. v1 files (hex floats) are not read: re-train.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import layers
 from .data_pipeline import Normalizer, atomic_write
 
-MODEL_FORMAT_VERSION = "gridcast-model-v1"
+MODEL_FORMAT_VERSION = "gridcast-model-v2"
 
 HYBRID = "hybrid"
 RNN_ONLY = "rnn-only"
@@ -276,14 +278,17 @@ def forecast_batch(model: ForecastModel, windows):
 # persistence
 # ---------------------------------------------------------------------------
 
-def _hex_list(arr):
-    return [float(v).hex() for v in np.asarray(arr, dtype=float).ravel()]
+def _encode(arr):
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _from_hex(data, shape):
-    values = np.array([float.fromhex(h) for h in data], dtype=float).reshape(shape)
+def _decode(data, shape, what):
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != 8 * int(np.prod(shape)):
+        raise ModelShapeError(f"{what}: {len(raw)} bytes for shape {list(shape)}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)  # writeable copy
     if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
+        raise ValueError(f"{what}: non-finite value")
     return values
 
 
@@ -293,16 +298,15 @@ def save_model(model: ForecastModel, path):
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(cfg),
         "normalizer": {
-            "mean": _hex_list(model.normalizer.mean),
-            "std": _hex_list(model.normalizer.std),
+            "mean": _encode(model.normalizer.mean),
+            "std": _encode(model.normalizer.std),
             "constant_mask": [bool(b) for b in model.normalizer.constant_mask],
         },
         "params": {
-            name: {"shape": list(shape), "data": _hex_list(model.params[name])}
+            name: {"shape": list(shape), "data": _encode(model.params[name])}
             for name, shape in _param_shapes(cfg)
         },
     }
-    # streamed: json.dumps would hold the whole text of a large model in memory
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -318,30 +322,26 @@ def load_model(path) -> ForecastModel:
         raise ModelParseError(f"{path} is not a model file")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
-            f"unsupported model format {doc['format_version']!r}, "
-            f"expected {MODEL_FORMAT_VERSION!r}")
+            f"unsupported model format {doc['format_version']!r}, expected "
+            f"{MODEL_FORMAT_VERSION!r}: re-train to write a {MODEL_FORMAT_VERSION} file")
     try:
         cfg = ModelConfig(**doc["config"])
-        norm = Normalizer(
-            _from_hex(doc["normalizer"]["mean"], (-1,)),
-            _from_hex(doc["normalizer"]["std"], (-1,)),
-            np.array(doc["normalizer"]["constant_mask"], dtype=bool),
-        )
+        width = (cfg.n_features,)
+        mask = np.array(doc["normalizer"]["constant_mask"], dtype=bool)
+        if mask.shape != width:
+            raise ModelShapeError(f"normalizer constant_mask: shape {mask.shape} != {width}")
+        mean, std = (_decode(doc["normalizer"][k], width, f"normalizer {k}")
+                     for k in ("mean", "std"))
+        norm = Normalizer(mean, std, mask)
         params = {}
         for name, shape in _param_shapes(cfg):
             entry = doc["params"][name]
             if tuple(entry["shape"]) != shape:
                 raise ModelShapeError(
                     f"parameter {name}: stored shape {entry['shape']} != expected {list(shape)}")
-            if len(entry["data"]) != int(np.prod(shape)):
-                raise ModelShapeError(
-                    f"parameter {name}: {len(entry['data'])} values for shape {list(shape)}")
-            params[name] = _from_hex(entry["data"], shape)
+            params[name] = _decode(entry["data"], shape, f"parameter {name}")
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelParseError(f"malformed model file {path}: {exc}") from None
-    if norm.mean.shape[0] != cfg.n_features:
-        raise ModelShapeError(
-            f"normalizer width {norm.mean.shape[0]} != {cfg.n_features} features")
     return ForecastModel(cfg, params, norm)

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -249,12 +250,27 @@ def test_forecast_persistence_reproduces_last_state(tmp_path, dataset, capsys):
 
 def test_forecast_non_finite_model_exit_code(tmp_path, dataset, model_file):
     doc = json.loads(model_file.read_text())
-    doc["params"]["dense3_b"]["data"][0] = "inf"
+    entry = doc["params"]["dense3_b"]
+    values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    values[0] = np.inf
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc = main(["forecast", "--model", str(bad), "--data", str(dataset),
                "--at-instance", "50"])
     assert rc == 1
+
+
+def test_forecast_v1_model_exit_code(tmp_path, dataset, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    doc["format_version"] = "gridcast-model-v1"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    rc = main(["forecast", "--model", str(old), "--data", str(dataset),
+               "--at-instance", "50"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "gridcast-model-v1" in err and "re-train" in err
 
 
 def test_forecast_out_of_range(tmp_path, dataset, model_file):

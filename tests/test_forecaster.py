@@ -1,9 +1,12 @@
+import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast import layers
@@ -259,38 +262,153 @@ def test_load_corrupt_header(tmp_path):
         load_model(path)
 
 
+def _floats(payload):
+    """A model file's base64 payload as float64 values, decoded independently
+    of the loader."""
+    return np.frombuffer(base64.b64decode(payload), dtype="<f8").copy()
+
+
+def _payload(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _hexes(payload):
+    """A base64 payload in the gridcast-model-v1 layout: one float.hex() per value."""
+    return [float(v).hex() for v in _floats(payload)]
+
+
+def _saved_doc(path):
+    save_model(tiny_model(), path)
+    return json.loads(path.read_text())
+
+
+def _as_v1(doc):
+    doc["format_version"] = "gridcast-model-v1"
+    for key in ("mean", "std"):
+        doc["normalizer"][key] = _hexes(doc["normalizer"][key])
+    for entry in doc["params"].values():
+        entry["data"] = _hexes(entry["data"])
+    return doc
+
+
 def test_load_version_mismatch(tmp_path):
-    path = tmp_path / "old.json"
-    path.write_text('{"format_version": "gridcast-model-v0"}')
-    with pytest.raises(ModelVersionError):
-        load_model(path)
+    v0 = tmp_path / "v0.json"
+    v0.write_text('{"format_version": "gridcast-model-v0"}')
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(_as_v1(_saved_doc(v1))))
+    for path, version in ((v0, "v0"), (v1, "v1")):
+        with pytest.raises(ModelVersionError, match=rf"gridcast-model-{version}.*re-train"):
+            load_model(path)
 
 
 def test_load_shape_inconsistency(tmp_path):
-    model = tiny_model()
     path = tmp_path / "model.json"
-    save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc["params"]["conv_b"]["data"].append(float(0.0).hex())
+    doc = _saved_doc(path)
+    entry = doc["params"]["conv_b"]
+    entry["data"] = _payload(np.append(_floats(entry["data"]), 0.0))  # 8 bytes too many
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelShapeError):
         load_model(path)
 
 
+@pytest.mark.parametrize("name, width", [("mean", 3), ("mean", 5), ("std", 1), ("std", 8),
+                                         ("constant_mask", 7), ("constant_mask", 1)])
+def test_load_rejects_wrong_normalizer_length(tmp_path, name, width):
+    # tiny model: 4 features; numpy would broadcast a length-1 std silently
+    path = tmp_path / "model.json"
+    doc = _saved_doc(path)
+    doc["normalizer"][name] = ([False] * width if name == "constant_mask"
+                               else _payload(np.ones(width)))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelShapeError, match=name):
+        load_model(path)
+
+
 @pytest.mark.parametrize("section, name, value", [
-    ("normalizer", "mean", "nan"),
-    ("normalizer", "std", "inf"),
-    ("params", "dense3_w", "-inf"),
+    ("normalizer", "mean", np.nan),
+    ("normalizer", "std", np.inf),
+    ("params", "dense3_w", -np.inf),
 ])
 def test_load_rejects_non_finite_values(tmp_path, section, name, value):
     path = tmp_path / "model.json"
-    save_model(tiny_model(), path)
-    doc = json.loads(path.read_text())
-    entry = doc[section][name]
-    (entry if section == "normalizer" else entry["data"])[0] = value
+    doc = _saved_doc(path)
+    entry, key = (doc[section], name) if section == "normalizer" else (doc[section][name], "data")
+    values = _floats(entry[key])
+    values[0] = value
+    entry[key] = _payload(values)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelParseError, match="non-finite"):
         load_model(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda p: "!" + p[1:],                 # outside the base64 alphabet
+    lambda p: p[:-1],                      # broken padding
+    lambda p: p[:8] + "\n" + p[8:],        # whitespace is not skipped
+    _hexes,                                # a v1 hex list
+])
+def test_load_rejects_invalid_base64(tmp_path, corrupt):
+    path = tmp_path / "model.json"
+    doc = _saved_doc(path)
+    doc["params"]["conv_b"]["data"] = corrupt(doc["params"]["conv_b"]["data"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError):
+        load_model(path)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+TINY_VALUES = param_count(ModelConfig(**TINY)) + 4  # every parameter, then the mean
+
+
+def _filled_model(values):
+    model = tiny_model()
+    values = np.asarray(values, dtype=float)
+    offset = 0
+    for name, shape in _param_shapes(model.config):
+        size = int(np.prod(shape))
+        model.params[name] = values[offset:offset + size].reshape(shape)
+        offset += size
+    model.normalizer = Normalizer(values[offset:], np.ones(4))
+    return model
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=TINY_VALUES, max_size=TINY_VALUES))
+@example(list(np.resize(EDGE_FLOATS, TINY_VALUES)))
+@settings(max_examples=50, deadline=None)
+def test_any_finite_float64_round_trips_bit_exactly(values):
+    model = _filled_model(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+    pairs = [(model.params[k], back.params[k]) for k in model.params]
+    pairs.append((model.normalizer.mean, back.normalizer.mean))
+    for want, got in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_save_load_save_is_byte_identical(tmp_path, rng):
+    norm = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4),
+                      np.array([True, False, False, True]))
+    model = _filled_model(np.resize(EDGE_FLOATS, TINY_VALUES))
+    model.normalizer = norm
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_loaded_arrays_are_writeable_and_own_their_data(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(tiny_model(), path)
+    back = load_model(path)
+    arrays = list(back.params.values()) + [back.normalizer.mean, back.normalizer.std]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+    back.params["conv_w"][0, 0, 0] += 1.0
 
 
 def test_mismatched_config_rejects_wrong_window(tmp_path, rng):
