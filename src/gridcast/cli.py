@@ -90,10 +90,20 @@ def _hyperparams_from(args):
     )
 
 
+def _check_freeze(config, freeze_branch):
+    """A --freeze-branch that names a missing branch, or that would freeze
+    every parameter, is a usage error."""
+    try:
+        training.frozen_param_names(config, freeze_branch)
+    except ValueError as exc:
+        raise UsageError(f"--freeze-branch {freeze_branch}: {exc}") from None
+
+
 def cmd_train(args):
     t0 = time.perf_counter()
     series = load_series(args.data)
     config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
+    _check_freeze(config, args.freeze_branch)
     hp = _hyperparams_from(args)
     model, report, *_ = training.fit_forecaster(
         series, config, hp, train_fraction=args.train_fraction)
@@ -125,6 +135,10 @@ def cmd_eval(args):
             raise UsageError(f"unknown --compare entry {c!r}")
     if "rnn-only" in compare and model.config.kind == RNN_ONLY:
         raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
+    if args.runs > 1:
+        _check_freeze(model.config, args.freeze_branch)
+    if "rnn-only" in compare:
+        _check_freeze(replace(model.config, kind=RNN_ONLY), args.freeze_branch)
     r = model.config.lag_r
     _, test_part = chronological_split(series, args.train_fraction, min_len=r + 1)
     x_test, y_test = build_windows(test_part, r)

@@ -125,6 +125,18 @@ def _param_shapes(cfg: ModelConfig):
     return shapes
 
 
+def param_layout(cfg: ModelConfig):
+    """{name: (slice, shape)} locating each parameter in the flat parameter
+    vector, which concatenates the C-ordered parameters in _param_shapes
+    order."""
+    layout, offset = {}, 0
+    for name, shape in _param_shapes(cfg):
+        size = int(np.prod(shape))
+        layout[name] = (slice(offset, offset + size), shape)
+        offset += size
+    return layout
+
+
 def cnn_branch_param_names(cfg: ModelConfig):
     return [n for n, _ in _param_shapes(cfg)
             if n.startswith(("conv_", "dense1_", "dense2_"))]
@@ -327,7 +339,14 @@ def load_model(path) -> ForecastModel:
     try:
         cfg = ModelConfig(**doc["config"])
         width = (cfg.n_features,)
-        mask = np.array(doc["normalizer"]["constant_mask"], dtype=bool)
+        mask = doc["normalizer"]["constant_mask"]
+        if not isinstance(mask, list):
+            raise ModelParseError(f"normalizer constant_mask: expected a list, got {mask!r}")
+        for i, entry in enumerate(mask):
+            if not isinstance(entry, bool):
+                raise ModelParseError(
+                    f"normalizer constant_mask[{i}]: {entry!r} is not true or false")
+        mask = np.array(mask, dtype=bool)
         if mask.shape != width:
             raise ModelShapeError(f"normalizer constant_mask: shape {mask.shape} != {width}")
         mean, std = (_decode(doc["normalizer"][k], width, f"normalizer {k}")

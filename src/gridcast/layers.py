@@ -14,8 +14,11 @@ memory layout (C-ordered, or the time-major one of `build_windows` and
     shifted taps of one d_pre @ w GEMM.
   * stacked RNN, layers outside and time inside on (r, B, H) buffers: a
     layer's input projection below @ wx.T + b is one GEMM for all r steps;
-    only h[t - 1] @ wh.T stays in the step loop. Backward fills d_pre over
-    t, then dwx, dwh and d_below = d_pre @ wx are one GEMM each over r*B rows.
+    only h[t - 1] @ wh.T stays in the step loop. Backward computes a layer's
+    ReLU mask once over its (r, B, H) pre-activations; each step then adds
+    the gradient from above in place to the recurrent term d_pre[t] @ wh
+    and writes d_h * mask[t - 1] straight into d_pre[t - 1]. dwx, dwh and
+    d_below = d_pre @ wx are one GEMM each over r*B rows.
 
 Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
@@ -210,12 +213,14 @@ def stacked_rnn_backward(cache, d_top):
     for l in reversed(range(len(layer_params))):
         wx, wh, _ = layer_params[l]
         pre, h = pres[l], hidden[l]
+        live = pre > 0.0
         d_pre = np.empty_like(pre)
-        d_h = d_states[r - 1]
-        for t in reversed(range(r)):
-            d_pre[t] = relu_grad(pre[t], d_h)
-            if t:
-                d_h = d_states[t - 1] + d_pre[t] @ wh
+        np.multiply(d_states[r - 1], live[r - 1], out=d_pre[r - 1])
+        for t in reversed(range(r - 1)):
+            # np.matmul(..., out=) measured slower than a fresh product at large B
+            d_h = d_pre[t + 1] @ wh
+            d_h += d_states[t]
+            np.multiply(d_h, live[t], out=d_pre[t])
         n_out, n_in = wx.shape
         below = xs if l == 0 else hidden[l - 1]
         rows = d_pre.reshape(r * b_, n_out)

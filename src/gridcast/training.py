@@ -4,17 +4,31 @@ and the multi-seed averaging protocol.
 The loss for one sample is mse(magnitude head) + mse(angle head) in
 normalized units, unweighted; a batch averages the per-sample losses.
 Training is fully deterministic given (data, hyperparameters, seed).
+
+`train` packs the parameters once into one contiguous float64 vector
+theta, in `_param_shapes` order; the working model's params are reshaped
+views into it. Each batch's gradients are concatenated into one flat
+buffer g of the same layout (a frozen branch is a zeroed slice), and
+`adam_step` updates theta and the flat Adam moments in place with
+preallocated scratch, in the same operation order as the textbook formula,
+one cache-sized block of the vectors at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
 from . import evaluation, forecaster
 from .data_pipeline import StateSeries, build_windows, chronological_split, fit_normalizer
 from .forecaster import ForecastModel, ModelConfig
+
+
+# adam_step sweeps the flat vectors in blocks of this many elements, so a
+# block's operands stay in cache across its 14 ufunc passes; at 118 buses
+# (558k parameters) a whole-vector sweep per ufunc is bound by memory traffic
+ADAM_BLOCK = 32768
 
 
 class DivergenceError(RuntimeError):
@@ -46,14 +60,19 @@ class Hyperparams:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Flat first and second moments and the step count; `adam_step`
+    updates them in place."""
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = np.empty((2, min(self.m.size, ADAM_BLOCK)))
 
     @classmethod
-    def zeros_like(cls, params):
-        return cls({k: np.zeros_like(p) for k, p in params.items()},
-                   {k: np.zeros_like(p) for k, p in params.items()})
+    def zeros(cls, size):
+        return cls(np.zeros(size), np.zeros(size))
 
 
 @dataclass
@@ -82,22 +101,40 @@ def joint_loss_and_grad(pred, target, n_buses):
     return loss, d
 
 
-def adam_step(params, grads, state: AdamState, hp: Hyperparams):
-    """One bias-corrected Adam update; pure, returns new (params, state)."""
-    t = state.t + 1
-    new_p, new_m, new_v = {}, {}, {}
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {k}")
-        m = hp.beta1 * state.m[k] + (1 - hp.beta1) * g
-        v = hp.beta2 * state.v[k] + (1 - hp.beta2) * g * g
-        m_hat = m / (1 - hp.beta1 ** t)
-        v_hat = v / (1 - hp.beta2 ** t)
-        new_p[k] = p - hp.learning_rate * m_hat / (np.sqrt(v_hat) + hp.epsilon)
-        new_m[k] = m
-        new_v[k] = v
-    return new_p, AdamState(new_m, new_v, t)
+def adam_step(theta, g, state: AdamState, hp: Hyperparams):
+    """One bias-corrected Adam update of the flat vector theta by the flat
+    gradient g, in place on theta, state.m and state.v; advances state.t.
+
+    Each ufunc matches one operation of
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        theta = theta - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    in the same order, so the result is bit-identical to that formula. The
+    ufuncs are element-wise, so sweeping ADAM_BLOCK elements at a time
+    changes no bit."""
+    if not theta.ndim == 1 or not theta.shape == g.shape == state.m.shape == state.v.shape:
+        raise ValueError(f"adam_step needs equal flat vectors: theta {theta.shape}, gradient "
+                         f"{g.shape}, moments {state.m.shape} / {state.v.shape}")
+    state.t += 1
+    c1, c2 = 1 - hp.beta1 ** state.t, 1 - hp.beta2 ** state.t
+    for lo in range(0, theta.size, ADAM_BLOCK):
+        blk = slice(lo, lo + ADAM_BLOCK)
+        p, gb, m, v = theta[blk], g[blk], state.m[blk], state.v[blk]
+        a, b = state._scratch[:, :p.size]
+        np.multiply(m, hp.beta1, out=m)
+        np.multiply(gb, 1 - hp.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, hp.beta2, out=v)
+        np.multiply(gb, 1 - hp.beta2, out=a)
+        np.multiply(a, gb, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, c1, out=a)
+        np.multiply(a, hp.learning_rate, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, hp.epsilon, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
 
 
 def batch_loss_and_grads(model: ForecastModel, x, y):
@@ -108,27 +145,46 @@ def batch_loss_and_grads(model: ForecastModel, x, y):
     return loss, grads
 
 
+def frozen_param_names(cfg: ModelConfig, freeze_branch):
+    """Names of the parameters `freeze_branch` holds fixed. Raises
+    ValueError when the model has no such branch or when freezing it would
+    leave nothing to train (both branches of an RNN-only model)."""
+    if freeze_branch is None:
+        return []
+    names = (forecaster.cnn_branch_param_names(cfg) if freeze_branch == "cnn"
+             else forecaster.rnn_branch_param_names(cfg))
+    if not names:
+        raise ValueError(f"a {cfg.kind} model has no {freeze_branch} branch to freeze")
+    if len(names) == len(forecaster.param_layout(cfg)):
+        raise ValueError(f"freezing the {freeze_branch} branch of a {cfg.kind} model "
+                         "would leave no trainable parameter")
+    return names
+
+
 def train(model: ForecastModel, windows, hp: Hyperparams):
     """Minibatch Adam training on normalized (X, Y) arrays.
 
-    Returns (trained model, TrainReport). The input model is not mutated.
+    Returns (trained model, TrainReport). The input model is not mutated;
+    the trained model's params are views into one flat parameter vector.
     """
     x, y = windows
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 1:
         raise ValueError("need at least one training sample")
-    frozen = set()
-    if hp.freeze_branch == "cnn":
-        frozen = set(forecaster.cnn_branch_param_names(model.config))
-    elif hp.freeze_branch == "rnn":
-        frozen = set(forecaster.rnn_branch_param_names(model.config))
-
-    params = {k: p.copy() for k, p in model.params.items()}
-    state = AdamState.zeros_like(params)
+    cfg = model.config
+    layout = forecaster.param_layout(cfg)
+    frozen = [layout[k][0] for k in frozen_param_names(cfg, hp.freeze_branch)]
+    for k, (_, shape) in layout.items():
+        if model.params[k].shape != shape:
+            raise ValueError(f"parameter {k}: shape {model.params[k].shape} != {shape}")
+    theta = np.concatenate([model.params[k].ravel() for k in layout])
+    work = ForecastModel(cfg, {k: theta[s].reshape(shape) for k, (s, shape) in layout.items()},
+                         model.normalizer)
+    g = np.empty_like(theta)
+    state = AdamState.zeros(theta.size)
     rng = np.random.default_rng(hp.seed)
     n = len(x)
-    work = ForecastModel(model.config, params, model.normalizer)
     epoch_losses = []
     for epoch in range(hp.epochs):
         order = rng.permutation(n)
@@ -138,10 +194,10 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
             loss, grads = batch_loss_and_grads(work, x[idx], y[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, bi, loss)
-            for k in frozen:
-                grads[k] = np.zeros_like(grads[k])
-            params, state = adam_step(params, grads, state, hp)
-            work = ForecastModel(model.config, params, model.normalizer)
+            np.concatenate([grads[k].ravel() for k in layout], out=g)
+            for s in frozen:
+                g[s] = 0.0
+            adam_step(theta, g, state, hp)
             total += loss * len(idx)
         epoch_losses.append(total / n)
     pred, _ = forecaster.model_forward(work, x)

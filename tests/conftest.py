@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from gridcast import forecaster
+from gridcast.forecaster import ForecastModel
 from gridcast.layers import ShapeError
+from gridcast.training import batch_loss_and_grads
 
 
 def central_diff(f, x, h=1e-5):
@@ -120,6 +123,51 @@ def oracle_stacked_rnn_backward(x, layer_params, hidden, d_top):
                 dx[:, :, t] += d_pre @ wx
             d_h[l] = d_pre @ wh
     return grads, dx
+
+
+def oracle_adam_step(params, grads, m, v, t, hp):
+    """Reference Adam on dicts of arrays, one textbook expression per
+    moment; pure. Returns (params, m, v) after step t (1-based)."""
+    new_p, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        mk = hp.beta1 * m[k] + (1 - hp.beta1) * g
+        vk = hp.beta2 * v[k] + (1 - hp.beta2) * g * g
+        m_hat = mk / (1 - hp.beta1 ** t)
+        v_hat = vk / (1 - hp.beta2 ** t)
+        new_p[k] = p - hp.learning_rate * m_hat / (np.sqrt(v_hat) + hp.epsilon)
+        new_m[k] = mk
+        new_v[k] = vk
+    return new_p, new_m, new_v
+
+
+def oracle_train(model, windows, hp):
+    """Reference minibatch loop: a fresh ForecastModel and fresh per-name
+    arrays every step, frozen gradients replaced by zeros, and
+    oracle_adam_step. Returns (params, epoch_losses)."""
+    x, y = (np.asarray(a, dtype=float) for a in windows)
+    frozen = {"cnn": forecaster.cnn_branch_param_names,
+              "rnn": forecaster.rnn_branch_param_names,
+              None: lambda cfg: []}[hp.freeze_branch](model.config)
+    params = {k: p.copy() for k, p in model.params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    rng = np.random.default_rng(hp.seed)
+    n, t, epoch_losses = len(x), 0, []
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, hp.batch_size):
+            idx = order[start:start + hp.batch_size]
+            work = ForecastModel(model.config, params, model.normalizer)
+            loss, grads = batch_loss_and_grads(work, x[idx], y[idx])
+            for k in frozen:
+                grads[k] = np.zeros_like(grads[k])
+            t += 1
+            params, m, v = oracle_adam_step(params, grads, m, v, t, hp)
+            total += loss * len(idx)
+        epoch_losses.append(total / n)
+    return params, epoch_losses
 
 
 @pytest.fixture

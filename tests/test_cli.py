@@ -138,6 +138,27 @@ def test_train_rnn_only_baseline(tmp_path, dataset):
     assert load_model(out).config.kind == "rnn-only"
 
 
+@pytest.mark.parametrize("branch", ["cnn", "rnn"])
+def test_train_rnn_only_freeze_branch_is_usage_error(tmp_path, dataset, capsys, branch):
+    out = tmp_path / "rnn.json"
+    rc = main(["train", "--data", str(dataset), "--model-out", str(out),
+               "--epochs", "1", "--baseline", "rnn-only", "--freeze-branch", branch])
+    assert rc == 2
+    assert "--freeze-branch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_hybrid_freeze_rnn_keeps_rnn_branch_at_init(tmp_path, dataset):
+    init, frozen = tmp_path / "init.json", tmp_path / "frozen.json"
+    common = ["train", "--data", str(dataset), "--seed", "2", "--freeze-branch", "rnn"]
+    assert main(common + ["--model-out", str(init), "--epochs", "0"]) == 0
+    assert main(common + ["--model-out", str(frozen), "--epochs", "1"]) == 0
+    a, b = load_model(init), load_model(frozen)
+    for name in a.params:
+        same = np.array_equal(a.params[name], b.params[name])
+        assert same == name.startswith(("rnn", "dense3_")), name
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -193,6 +214,22 @@ def test_eval_compare_rnn_only_needs_hybrid_model(tmp_path, dataset):
                  "--epochs", "0", "--baseline", "rnn-only"]) == 0
     rc = main(["eval", "--model", str(rnn), "--data", str(dataset),
                "--report-out", str(tmp_path / "r.txt"), "--compare", "rnn-only"])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("branch", ["cnn", "rnn"])
+def test_eval_runs_freeze_branch_on_rnn_only_model_is_usage_error(tmp_path, dataset, branch):
+    rnn = tmp_path / "rnn.json"
+    assert main(["train", "--data", str(dataset), "--model-out", str(rnn),
+                 "--epochs", "0", "--baseline", "rnn-only"]) == 0
+    rc = main(["eval", "--model", str(rnn), "--data", str(dataset), "--runs", "2",
+               "--epochs", "1", "--freeze-branch", branch])
+    assert rc == 2
+
+
+def test_eval_compare_rnn_only_with_freeze_branch_is_usage_error(tmp_path, dataset, model_file):
+    rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
+               "--compare", "rnn-only", "--epochs", "1", "--freeze-branch", "cnn"])
     assert rc == 2
 
 

@@ -324,6 +324,21 @@ def test_load_rejects_wrong_normalizer_length(tmp_path, name, width):
         load_model(path)
 
 
+@pytest.mark.parametrize("mask, message", [
+    (["no", 0, "false", None], r"constant_mask\[0\]: 'no' is not true or false"),
+    ([1, 0, 1, 0], r"constant_mask\[0\]: 1 is not true or false"),
+    ([True, False, None, False], r"constant_mask\[2\]: None"),
+    ("true", "constant_mask: expected a list"),
+], ids=["strings-and-null", "integers", "null-entry", "not-a-list"])
+def test_load_rejects_non_boolean_constant_mask(tmp_path, mask, message):
+    path = tmp_path / "model.json"
+    doc = _saved_doc(path)
+    doc["normalizer"]["constant_mask"] = mask
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError, match=message):
+        load_model(path)
+
+
 @pytest.mark.parametrize("section, name, value", [
     ("normalizer", "mean", np.nan),
     ("normalizer", "std", np.inf),

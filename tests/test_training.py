@@ -1,18 +1,22 @@
+import copy
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gridcast import evaluation, forecaster, training
 from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series
-from gridcast.forecaster import ModelConfig, init_model
+from gridcast.forecaster import ModelConfig, init_model, param_count, param_layout
 from gridcast.training import (AdamState, DivergenceError, Hyperparams,
                                adam_step, batch_loss_and_grads,
                                fit_forecaster, joint_loss_and_grad, multi_run,
                                train)
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, oracle_adam_step, oracle_train, rel_err
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 
@@ -61,42 +65,70 @@ def test_joint_loss_uniform_error():
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_noop():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
-    state = AdamState.zeros_like(params)
+    theta = np.array([1.0, -2.0])
+    before = theta.copy()
+    state = AdamState.zeros(theta.size)
     hp = Hyperparams()
-    new_p, new_s = adam_step(params, grads, state, hp)
-    npt.assert_array_equal(new_p["w"], params["w"])
-    assert new_s.t == 1
+    adam_step(theta, np.zeros(2), state, hp)
+    npt.assert_array_equal(theta, before)
+    assert state.t == 1
 
 
 def test_adam_first_step_magnitude():
     # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
     g = 0.37
     hp = Hyperparams(learning_rate=1e-3)
-    params = {"w": np.array([2.0])}
-    state = AdamState.zeros_like(params)
-    new_p, _ = adam_step(params, {"w": np.array([g])}, state, hp)
-    step = params["w"][0] - new_p["w"][0]
+    theta = np.array([2.0])
+    state = AdamState.zeros(theta.size)
+    adam_step(theta, np.array([g]), state, hp)
+    step = 2.0 - theta[0]
     assert step == pytest.approx(hp.learning_rate * g / (abs(g) + hp.epsilon), rel=1e-9)
 
 
 def test_adam_deterministic():
-    params = {"w": np.array([1.0, 2.0])}
-    grads = {"w": np.array([0.5, -0.5])}
-    state = AdamState.zeros_like(params)
+    theta = np.array([1.0, 2.0])
+    grads = np.array([0.5, -0.5])
+    state = AdamState.zeros(theta.size)
     hp = Hyperparams()
-    a, sa = adam_step(params, grads, state, hp)
-    b, sb = adam_step(params, grads, state, hp)
-    npt.assert_array_equal(a["w"], b["w"])
-    npt.assert_array_equal(sa.m["w"], sb.m["w"])
+    a, sa = theta.copy(), copy.deepcopy(state)
+    adam_step(a, grads, sa, hp)
+    b, sb = theta.copy(), copy.deepcopy(state)
+    adam_step(b, grads, sb, hp)
+    npt.assert_array_equal(a, b)
+    npt.assert_array_equal(sa.m, sb.m)
 
 
 def test_adam_rejects_shape_mismatch():
-    params = {"w": np.zeros(2)}
-    state = AdamState.zeros_like(params)
+    theta = np.zeros(2)
+    state = AdamState.zeros(theta.size)
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(3)}, state, Hyperparams())
+        adam_step(theta, np.zeros(3), state, Hyperparams())
+    assert state.t == 0
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=6),
+       st.integers(1, 4), st.sampled_from([1, 2, 4, training.ADAM_BLOCK]))
+@settings(max_examples=50, deadline=None)
+def test_adam_step_bit_identical_to_oracle(rows, steps, block):
+    # theta, then one gradient per step (the fourth column is reused); small
+    # blocks split the vectors into several sweeps with a ragged last block
+    values = np.array(rows).T
+    n = len(rows)
+    hp = Hyperparams(learning_rate=3e-3)
+    theta = values[0].copy()
+    params, m, v = {"w": values[0].copy()}, {"w": np.zeros(n)}, {"w": np.zeros(n)}
+    with mock.patch.object(training, "ADAM_BLOCK", block):
+        state = AdamState.zeros(n)
+        for t in range(1, steps + 1):
+            g = values[1 + (t - 1) % 3]
+            adam_step(theta, g, state, hp)
+            params, m, v = oracle_adam_step(params, {"w": g}, m, v, t, hp)
+            for got, want in ((theta, params["w"]), (state.m, m["w"]), (state.v, v["w"])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert state.t == steps
 
 
 def test_hyperparam_validation():
@@ -140,9 +172,61 @@ def test_final_train_loss_is_full_batch_loss_of_trained_model():
 def test_train_does_not_mutate_input_model():
     model = init_model(ModelConfig(**TINY), 1)
     before = {k: p.copy() for k, p in model.params.items()}
-    train(model, tiny_data(), Hyperparams(epochs=3))
+    trained, _ = train(model, tiny_data(), Hyperparams(epochs=3))
     for k in before:
         npt.assert_array_equal(model.params[k], before[k])
+        assert not np.shares_memory(trained.params[k], model.params[k])
+
+
+def test_trained_params_are_views_of_one_flat_vector():
+    cfg = ModelConfig(**TINY)
+    trained, _ = train(init_model(cfg, 1), tiny_data(), Hyperparams(epochs=2))
+    theta = trained.params["conv_w"].base
+    assert theta.ndim == 1 and theta.size == param_count(cfg)
+    assert theta.dtype == np.float64 and theta.flags.c_contiguous
+    layout = param_layout(cfg)
+    assert list(trained.params) == list(layout)
+    for name, (span, shape) in layout.items():
+        assert trained.params[name].base is theta
+        assert trained.params[name].shape == shape
+        npt.assert_array_equal(trained.params[name].ravel(), theta[span])
+
+
+def test_train_rejects_misshapen_parameter():
+    model = init_model(ModelConfig(**TINY), 1)
+    model.params["rnn0_b"] = np.zeros(5)
+    with pytest.raises(ValueError, match="rnn0_b"):
+        train(model, tiny_data(), Hyperparams(epochs=1))
+
+
+@pytest.mark.parametrize("branch, message", [("cnn", "no cnn branch"),
+                                             ("rnn", "no trainable parameter")])
+def test_freeze_branch_of_rnn_only_model_raises(branch, message):
+    model = init_model(ModelConfig(**TINY, kind="rnn-only"), 1)
+    with pytest.raises(ValueError, match=message):
+        train(model, tiny_data(), Hyperparams(epochs=1, freeze_branch=branch))
+
+
+@given(kind=st.sampled_from(["hybrid", "rnn-only"]),
+       freeze=st.sampled_from([None, "cnn", "rnn"]),
+       n_samples=st.integers(1, 9), batch_size=st.integers(1, 5),
+       epochs=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+@example(kind="hybrid", freeze=None, n_samples=7, batch_size=3, epochs=2, seed=0)
+@example(kind="hybrid", freeze="rnn", n_samples=8, batch_size=5, epochs=2, seed=1)
+@example(kind="rnn-only", freeze=None, n_samples=9, batch_size=4, epochs=2, seed=2)
+@settings(max_examples=30, deadline=None)
+def test_train_bit_identical_to_oracle_loop(kind, freeze, n_samples, batch_size, epochs, seed):
+    assume(kind == "hybrid" or freeze is None)
+    model = init_model(ModelConfig(**TINY, kind=kind), seed)
+    data = tiny_data(n_samples, seed)
+    hp = Hyperparams(epochs=epochs, batch_size=batch_size, seed=seed,
+                     learning_rate=1e-2, freeze_branch=freeze)
+    trained, report = train(model, data, hp)
+    want, want_losses = oracle_train(model, data, hp)
+    assert list(trained.params) == list(want)
+    for k, p in want.items():
+        assert np.array_equal(trained.params[k].view(np.uint64), p.view(np.uint64)), k
+    assert report.epoch_losses == want_losses
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
