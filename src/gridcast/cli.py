@@ -80,14 +80,17 @@ def cmd_gen_data(args):
 # train
 # ---------------------------------------------------------------------------
 
+# (flag, argparse dest, Hyperparams field) of each training flag
+TRAINING_FLAGS = (("--epochs", "epochs", "epochs"), ("--batch", "batch", "batch_size"),
+                  ("--lr", "lr", "learning_rate"), ("--seed", "seed", "seed"),
+                  ("--freeze-branch", "freeze_branch", "freeze_branch"))
+
+
 def _hyperparams_from(args):
-    return Hyperparams(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
-        freeze_branch=args.freeze_branch,
-    )
+    """Hyperparams from the training flags; a flag left at None (not given
+    to eval) keeps the Hyperparams default."""
+    given = {field: getattr(args, dest) for _, dest, field in TRAINING_FLAGS}
+    return Hyperparams(**{k: v for k, v in given.items() if v is not None})
 
 
 def _check_freeze(config, freeze_branch):
@@ -135,6 +138,12 @@ def cmd_eval(args):
             raise UsageError(f"unknown --compare entry {c!r}")
     if "rnn-only" in compare and model.config.kind == RNN_ONLY:
         raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
+    if args.runs <= 1 and "rnn-only" not in compare:
+        for flag, dest, _ in TRAINING_FLAGS:
+            if getattr(args, dest) is not None:
+                raise UsageError(f"{flag} only applies when eval retrains "
+                                 "(--runs > 1 or --compare rnn-only)")
+    hp = _hyperparams_from(args)
     if args.runs > 1:
         _check_freeze(model.config, args.freeze_branch)
     if "rnn-only" in compare:
@@ -143,14 +152,14 @@ def cmd_eval(args):
     _, test_part = chronological_split(series, args.train_fraction, min_len=r + 1)
     x_test, y_test = build_windows(test_part, r)
 
-    seeds = [args.seed]
+    seeds = [hp.seed]
     aggregate = None
     if args.runs <= 1:
         metrics, trace = evaluation.evaluate(model, x_test, y_test)
     else:
-        seeds = list(range(args.seed, args.seed + args.runs))
+        seeds = list(range(hp.seed, hp.seed + args.runs))
         aggregate, per_run, trace = training.multi_run(
-            series, model.config, _hyperparams_from(args), args.runs, args.train_fraction)
+            series, model.config, hp, args.runs, args.train_fraction)
         metrics = per_run[0]
     reports = {model.config.kind: metrics}
     if "persistence" in compare:
@@ -159,8 +168,7 @@ def cmd_eval(args):
             preds, y_test, model.config.n_buses)
     if "rnn-only" in compare:
         _, rnn_runs, _ = training.multi_run(
-            series, replace(model.config, kind=RNN_ONLY), _hyperparams_from(args), 1,
-            args.train_fraction)
+            series, replace(model.config, kind=RNN_ONLY), hp, 1, args.train_fraction)
         reports["rnn-only"] = rnn_runs[0]
 
     table = evaluation.comparison_table(reports)
@@ -231,6 +239,22 @@ def cmd_forecast(args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _training_parser(hp):
+    """Parent parser of the training flags and --train-fraction. train
+    passes Hyperparams() as the defaults; eval passes None, so a training
+    flag it was not given stays None."""
+    def default(field):
+        return None if hp is None else getattr(hp, field)
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--epochs", type=int, default=default("epochs"))
+    p.add_argument("--batch", type=int, default=default("batch_size"))
+    p.add_argument("--lr", type=float, default=default("learning_rate"))
+    p.add_argument("--seed", type=int, default=default("seed"))
+    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--freeze-branch", choices=["cnn", "rnn"], default=default("freeze_branch"))
+    return p
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="gridcast",
@@ -250,16 +274,7 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    # training flags, shared by train and eval's retraining protocol
-    protocol = argparse.ArgumentParser(add_help=False)
-    protocol.add_argument("--epochs", type=int, default=30)
-    protocol.add_argument("--batch", type=int, default=32)
-    protocol.add_argument("--lr", type=float, default=1e-3)
-    protocol.add_argument("--seed", type=int, default=0)
-    protocol.add_argument("--train-fraction", type=float, default=0.8)
-    protocol.add_argument("--freeze-branch", choices=["cnn", "rnn"], default=None)
-
-    t = sub.add_parser("train", parents=[protocol],
+    t = sub.add_parser("train", parents=[_training_parser(Hyperparams())],
                        help="train a forecaster on a dataset CSV")
     t.add_argument("--data", required=True)
     t.add_argument("--lag", type=int, default=10)
@@ -268,7 +283,7 @@ def build_parser():
     t.add_argument("--baseline", choices=["hybrid", "rnn-only"], default="hybrid")
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", parents=[protocol],
+    e = sub.add_parser("eval", parents=[_training_parser(None)],
                        help="evaluate a model (optionally retrain per run)")
     e.add_argument("--model", required=True)
     e.add_argument("--data", required=True)

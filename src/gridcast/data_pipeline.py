@@ -223,11 +223,12 @@ def load_series(path) -> StateSeries:
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Yield a text file open for writing; on a clean exit it replaces
-    `path` in one step, so readers never see a partly written file."""
+def atomic_write(path, mode="w"):
+    """Yield a file open for writing, UTF-8 text by default or bytes with
+    mode "wb"; on a clean exit it replaces `path` in one step, so readers
+    never see a partly written file."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
         yield fh
     os.replace(tmp, path)
 

@@ -8,14 +8,21 @@ the stacked recurrent branch (L recurrent layers -> dense linear) emits
 the n phase angles. The RNN-only baseline is the same recurrent stack
 followed by a single linear head with 2n outputs.
 
-Model files are self-describing JSON (gridcast-model-v2) holding each float
-array as base64 of its C-ordered little-endian float64 bytes, so save/load
-round trips are bit-exact. v1 files (hex floats) are not read: re-train.
+Model files (gridcast-model-v3) are a one-line UTF-8 JSON header, one
+newline, and a raw payload, after NumPy's .npy layout. The header holds
+format_version, config, the normalizer's constant_mask and `arrays`, a list
+of [name, shape] pairs: normalizer.mean, normalizer.std, then the parameters
+in _param_shapes order. The payload is the C-ordered little-endian float64
+bytes of those arrays, concatenated in header order with nothing after them,
+so save/load round trips are bit-exact. Loading checks the version, that
+constant_mask is a list of 2n JSON booleans, that every listed name and shape
+is the expected one, that the payload is exactly 8 bytes per listed element,
+and that every value is finite. v1 and v2 files (one indented JSON document)
+are not read: re-train.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -24,7 +31,7 @@ import numpy as np
 from . import layers
 from .data_pipeline import Normalizer, atomic_write
 
-MODEL_FORMAT_VERSION = "gridcast-model-v2"
+MODEL_FORMAT_VERSION = "gridcast-model-v3"
 
 HYBRID = "hybrid"
 RNN_ONLY = "rnn-only"
@@ -247,24 +254,8 @@ def model_backward(model: ForecastModel, cache, d_out):
 
 
 # ---------------------------------------------------------------------------
-# branch views and forecasts (normalized units for branches, physical for
-# forecasts); every path runs model_forward
+# forecasts (physical units); every path runs model_forward
 # ---------------------------------------------------------------------------
-
-def cnn_branch_forward(model: ForecastModel, window):
-    """Normalized (2n, r) window -> n magnitude predictions (normalized)."""
-    if model.config.kind != HYBRID:
-        raise ValueError("model has no convolutional branch")
-    out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
-    return out[0, :model.config.n_buses]
-
-
-def rnn_branch_forward(model: ForecastModel, window):
-    """Normalized (2n, r) window -> the recurrent head's output (normalized):
-    the n angles of a hybrid model, all 2n states of an RNN-only one."""
-    out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
-    return out[0, model.config.n_buses:] if model.config.kind == HYBRID else out[0]
-
 
 def forecast_next(model: ForecastModel, window):
     """Raw (physical-unit) (2n, r) window -> 2n next-state forecast in
@@ -290,77 +281,91 @@ def forecast_batch(model: ForecastModel, windows):
 # persistence
 # ---------------------------------------------------------------------------
 
-def _encode(arr):
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(data, shape, what):
-    raw = base64.b64decode(data, validate=True)
-    if len(raw) != 8 * int(np.prod(shape)):
-        raise ModelShapeError(f"{what}: {len(raw)} bytes for shape {list(shape)}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)  # writeable copy
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what}: non-finite value")
-    return values
+def _file_arrays(cfg: ModelConfig):
+    """(name, shape) of each array in a model file's payload, in file order:
+    the normalizer's mean and std, then the parameters."""
+    width = (cfg.n_features,)
+    return [("normalizer.mean", width), ("normalizer.std", width)] + _param_shapes(cfg)
 
 
 def save_model(model: ForecastModel, path):
     cfg = model.config
-    doc = {
+    arrays = {"normalizer.mean": model.normalizer.mean,
+              "normalizer.std": model.normalizer.std, **model.params}
+    order = [name for name, _ in _file_arrays(cfg)]
+    header = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(cfg),
-        "normalizer": {
-            "mean": _encode(model.normalizer.mean),
-            "std": _encode(model.normalizer.std),
-            "constant_mask": [bool(b) for b in model.normalizer.constant_mask],
-        },
-        "params": {
-            name: {"shape": list(shape), "data": _encode(model.params[name])}
-            for name, shape in _param_shapes(cfg)
-        },
+        "constant_mask": [bool(b) for b in model.normalizer.constant_mask],
+        "arrays": [[name, list(np.shape(arrays[name]))] for name in order],
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    with atomic_write(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for name in order:
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
 
 
 def load_model(path) -> ForecastModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelParseError(f"unreadable model file {path}: {exc}") from None
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise ModelParseError(f"{path} is not a model file")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"unsupported model format {doc['format_version']!r}, expected "
-            f"{MODEL_FORMAT_VERSION!r}: re-train to write a {MODEL_FORMAT_VERSION} file")
-    try:
-        cfg = ModelConfig(**doc["config"])
-        width = (cfg.n_features,)
-        mask = doc["normalizer"]["constant_mask"]
-        if not isinstance(mask, list):
-            raise ModelParseError(f"normalizer constant_mask: expected a list, got {mask!r}")
-        for i, entry in enumerate(mask):
-            if not isinstance(entry, bool):
-                raise ModelParseError(
-                    f"normalizer constant_mask[{i}]: {entry!r} is not true or false")
-        mask = np.array(mask, dtype=bool)
-        if mask.shape != width:
-            raise ModelShapeError(f"normalizer constant_mask: shape {mask.shape} != {width}")
-        mean, std = (_decode(doc["normalizer"][k], width, f"normalizer {k}")
-                     for k in ("mean", "std"))
-        norm = Normalizer(mean, std, mask)
-        params = {}
-        for name, shape in _param_shapes(cfg):
-            entry = doc["params"][name]
-            if tuple(entry["shape"]) != shape:
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
+            # v1 and v2 files are indented JSON documents whose first line is
+            # "{": parse the whole file, on this error path only, to name its
+            # version
+            fh.seek(0)
+            line = b""
+            try:
+                header = json.loads(fh.read())
+            except ValueError as exc:
+                raise ModelParseError(f"unreadable model file {path}: {exc}") from None
+        if not isinstance(header, dict) or "format_version" not in header:
+            raise ModelParseError(f"{path} is not a model file")
+        if header["format_version"] != MODEL_FORMAT_VERSION:
+            raise ModelVersionError(
+                f"unsupported model format {header['format_version']!r}, expected "
+                f"{MODEL_FORMAT_VERSION!r}: re-train to write a {MODEL_FORMAT_VERSION} file")
+        if not line.endswith(b"\n"):
+            raise ModelParseError(f"{path}: no one-line header followed by a newline")
+        try:
+            cfg = ModelConfig(**header["config"])
+            mask = header["constant_mask"]
+            if not isinstance(mask, list):
+                raise ModelParseError(f"normalizer constant_mask: expected a list, got {mask!r}")
+            for i, entry in enumerate(mask):
+                if not isinstance(entry, bool):
+                    raise ModelParseError(
+                        f"normalizer constant_mask[{i}]: {entry!r} is not true or false")
+            if len(mask) != cfg.n_features:
                 raise ModelShapeError(
-                    f"parameter {name}: stored shape {entry['shape']} != expected {list(shape)}")
-            params[name] = _decode(entry["data"], shape, f"parameter {name}")
-    except ModelFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelParseError(f"malformed model file {path}: {exc}") from None
-    return ForecastModel(cfg, params, norm)
+                    f"normalizer constant_mask: length {len(mask)} != {cfg.n_features}")
+            expected = [[name, list(shape)] for name, shape in _file_arrays(cfg)]
+            listed = header["arrays"]
+            if not isinstance(listed, list) or len(listed) != len(expected):
+                raise ModelShapeError(f"arrays: {listed!r} does not list the "
+                                      f"{len(expected)} arrays {[n for n, _ in expected]}")
+            for stored, want in zip(listed, expected):
+                if stored != want:
+                    raise ModelShapeError(
+                        f"array {want[0]}: stored {stored!r} != expected {want!r}")
+            arrays = {}
+            for name, shape in expected:
+                # read straight into each array's own buffer: no copy of the payload
+                values = np.empty(shape, dtype="<f8")
+                if fh.readinto(values) != values.nbytes:
+                    raise ModelShapeError(f"array {name}: the payload ends early")
+                if not np.isfinite(values).all():
+                    raise ModelParseError(f"array {name}: non-finite value")
+                arrays[name] = values.astype(np.float64, copy=False)
+            if fh.read(1):
+                raise ModelShapeError("payload: bytes after the last listed array")
+            norm = Normalizer(arrays.pop("normalizer.mean"), arrays.pop("normalizer.std"),
+                              np.array(mask, dtype=bool))
+        except ModelFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelParseError(f"malformed model file {path}: {exc}") from None
+    return ForecastModel(cfg, arrays, norm)

@@ -125,6 +125,19 @@ def oracle_stacked_rnn_backward(x, layer_params, hidden, d_top):
     return grads, dx
 
 
+def oracle_joint_loss_and_grad(pred, target, n):
+    """Reference joint loss: each half's error, squares and gradient
+    computed separately. Returns (loss, dLoss/dPred)."""
+    b = pred.shape[0]
+    err_vm = pred[:, :n] - target[:, :n]
+    err_va = pred[:, n:] - target[:, n:]
+    loss = float(np.mean(err_vm ** 2) + np.mean(err_va ** 2))
+    d = np.empty_like(pred)
+    d[:, :n] = 2.0 * err_vm / (b * n)
+    d[:, n:] = 2.0 * err_va / (b * n)
+    return loss, d
+
+
 def oracle_adam_step(params, grads, m, v, t, hp):
     """Reference Adam on dicts of arrays, one textbook expression per
     moment; pure. Returns (params, m, v) after step t (1-based)."""

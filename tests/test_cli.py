@@ -1,4 +1,3 @@
-import base64
 import json
 
 import numpy as np
@@ -233,6 +232,32 @@ def test_eval_compare_rnn_only_with_freeze_branch_is_usage_error(tmp_path, datas
     assert rc == 2
 
 
+EVAL_TRAINING_FLAGS = [["--epochs", "0"], ["--batch", "7"], ["--lr", "5"], ["--seed", "9"],
+                       ["--freeze-branch", "rnn"]]
+
+
+@pytest.mark.parametrize("flag", EVAL_TRAINING_FLAGS, ids=lambda flag: flag[0])
+def test_eval_training_flag_without_retraining_is_usage_error(tmp_path, dataset, model_file,
+                                                              capsys, flag):
+    report = tmp_path / "r.txt"
+    rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
+               "--report-out", str(report), "--compare", "persistence"] + flag)
+    assert rc == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_training_flags_accepted_when_retraining(tmp_path, dataset, model_file):
+    report = tmp_path / "r.txt"
+    flags = [arg for flag in EVAL_TRAINING_FLAGS for arg in flag]
+    rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
+               "--report-out", str(report), "--runs", "2"] + flags)
+    assert rc == 0
+    manifest = json.loads((tmp_path / "r.txt.manifest.json").read_text())
+    assert manifest["seeds"] == [9, 10]
+    assert "aggregate over independent runs" in report.read_text()
+
+
 def test_eval_shape_mismatch_exit_code(tmp_path, model_file):
     other = tmp_path / "other.csv"
     assert main(["gen-data", "--buses", "5", "--length", "60",
@@ -286,23 +311,27 @@ def test_forecast_persistence_reproduces_last_state(tmp_path, dataset, capsys):
 
 
 def test_forecast_non_finite_model_exit_code(tmp_path, dataset, model_file):
-    doc = json.loads(model_file.read_text())
-    entry = doc["params"]["dense3_b"]
-    values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
-    values[0] = np.inf
-    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    raw = model_file.read_bytes()
+    end = raw.index(b"\n")
+    offset = 0
+    for name, shape in json.loads(raw[:end])["arrays"]:
+        if name == "dense3_b":
+            break
+        offset += int(np.prod(shape))
+    values = np.frombuffer(raw, dtype="<f8", offset=end + 1).copy()
+    values[offset] = np.inf
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(raw[:end + 1] + values.tobytes())
     rc = main(["forecast", "--model", str(bad), "--data", str(dataset),
                "--at-instance", "50"])
     assert rc == 1
 
 
 def test_forecast_v1_model_exit_code(tmp_path, dataset, model_file, capsys):
-    doc = json.loads(model_file.read_text())
-    doc["format_version"] = "gridcast-model-v1"
+    header = json.loads(model_file.read_bytes().split(b"\n", 1)[0])
+    header["format_version"] = "gridcast-model-v1"
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(doc))
+    old.write_text(json.dumps(header, indent=1))
     rc = main(["forecast", "--model", str(old), "--data", str(dataset),
                "--at-instance", "50"])
     assert rc == 1

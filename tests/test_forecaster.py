@@ -14,11 +14,9 @@ from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, ModelParseError,
                                  ModelShapeError, ModelVersionError,
-                                 _param_shapes, cnn_branch_forward,
-                                 cnn_branch_param_names, forecast_batch,
+                                 _param_shapes, cnn_branch_param_names, forecast_batch,
                                  forecast_next, init_model, load_model, model_forward,
-                                 param_count, rnn_branch_forward,
-                                 rnn_branch_param_names, save_model)
+                                 param_count, rnn_branch_param_names, save_model)
 
 from conftest import rnn_cell_step
 
@@ -28,6 +26,21 @@ TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 def tiny_model(seed=0, **overrides):
     cfg = ModelConfig(**{**TINY, **overrides})
     return init_model(cfg, seed)
+
+
+def cnn_branch_forward(model: ForecastModel, window):
+    """Normalized (2n, r) window -> n magnitude predictions (normalized)."""
+    if model.config.kind != HYBRID:
+        raise ValueError("model has no convolutional branch")
+    out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
+    return out[0, :model.config.n_buses]
+
+
+def rnn_branch_forward(model: ForecastModel, window):
+    """Normalized (2n, r) window -> the recurrent head's output (normalized):
+    the n angles of a hybrid model, all 2n states of an RNN-only one."""
+    out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
+    return out[0, model.config.n_buses:] if model.config.kind == HYBRID else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,51 +275,85 @@ def test_load_corrupt_header(tmp_path):
         load_model(path)
 
 
-def _floats(payload):
-    """A model file's base64 payload as float64 values, decoded independently
-    of the loader."""
-    return np.frombuffer(base64.b64decode(payload), dtype="<f8").copy()
+def _split(path):
+    """A gridcast-model-v3 file's parsed header and its payload as
+    {name: float64 values}, decoded independently of the loader."""
+    raw = path.read_bytes()
+    end = raw.index(b"\n")
+    header = json.loads(raw[:end])
+    values = np.frombuffer(raw, dtype="<f8", offset=end + 1)
+    arrays, offset = {}, 0
+    for name, shape in header["arrays"]:
+        size = int(np.prod(shape))
+        arrays[name] = values[offset:offset + size].copy()
+        offset += size
+    return header, arrays
 
 
-def _payload(values):
+def _header_bytes(header):
+    return json.dumps(header).encode("utf-8")
+
+
+def _payload(arrays):
+    return b"".join(np.asarray(v, dtype="<f8").tobytes() for v in arrays.values())
+
+
+def _write(path, header, arrays):
+    path.write_bytes(_header_bytes(header) + b"\n" + _payload(arrays))
+
+
+def _saved(path):
+    save_model(tiny_model(), path)
+    return _split(path)
+
+
+def _b64(values):
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _hexes(payload):
-    """A base64 payload in the gridcast-model-v1 layout: one float.hex() per value."""
-    return [float(v).hex() for v in _floats(payload)]
-
-
-def _saved_doc(path):
-    save_model(tiny_model(), path)
-    return json.loads(path.read_text())
+def _as_v2(header, arrays):
+    """The same model as a gridcast-model-v2 document: indented JSON holding
+    each array as base64 of its little-endian float64 bytes."""
+    shapes = dict(header["arrays"])
+    return {
+        "format_version": "gridcast-model-v2",
+        "config": header["config"],
+        "normalizer": {"mean": _b64(arrays["normalizer.mean"]),
+                       "std": _b64(arrays["normalizer.std"]),
+                       "constant_mask": header["constant_mask"]},
+        "params": {name: {"shape": shapes[name], "data": _b64(values)}
+                   for name, values in arrays.items() if not name.startswith("normalizer.")},
+    }
 
 
 def _as_v1(doc):
+    """A gridcast-model-v2 document in the v1 layout: one float.hex() per value."""
+    def hexes(data):
+        return [float(v).hex() for v in np.frombuffer(base64.b64decode(data), dtype="<f8")]
     doc["format_version"] = "gridcast-model-v1"
     for key in ("mean", "std"):
-        doc["normalizer"][key] = _hexes(doc["normalizer"][key])
+        doc["normalizer"][key] = hexes(doc["normalizer"][key])
     for entry in doc["params"].values():
-        entry["data"] = _hexes(entry["data"])
+        entry["data"] = hexes(entry["data"])
     return doc
 
 
 def test_load_version_mismatch(tmp_path):
     v0 = tmp_path / "v0.json"
     v0.write_text('{"format_version": "gridcast-model-v0"}')
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(_as_v1(_saved_doc(v1))))
-    for path, version in ((v0, "v0"), (v1, "v1")):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(_as_v1(_as_v2(*_saved(v1))), indent=1) + "\n")
+    v2.write_text(json.dumps(_as_v2(*_saved(v2)), indent=1) + "\n")
+    for path, version in ((v0, "v0"), (v1, "v1"), (v2, "v2")):
         with pytest.raises(ModelVersionError, match=rf"gridcast-model-{version}.*re-train"):
             load_model(path)
 
 
 def test_load_shape_inconsistency(tmp_path):
     path = tmp_path / "model.json"
-    doc = _saved_doc(path)
-    entry = doc["params"]["conv_b"]
-    entry["data"] = _payload(np.append(_floats(entry["data"]), 0.0))  # 8 bytes too many
-    path.write_text(json.dumps(doc))
+    header, arrays = _saved(path)
+    arrays["conv_b"] = np.append(arrays["conv_b"], 0.0)  # 8 bytes too many
+    _write(path, header, arrays)
     with pytest.raises(ModelShapeError):
         load_model(path)
 
@@ -316,10 +363,14 @@ def test_load_shape_inconsistency(tmp_path):
 def test_load_rejects_wrong_normalizer_length(tmp_path, name, width):
     # tiny model: 4 features; numpy would broadcast a length-1 std silently
     path = tmp_path / "model.json"
-    doc = _saved_doc(path)
-    doc["normalizer"][name] = ([False] * width if name == "constant_mask"
-                               else _payload(np.ones(width)))
-    path.write_text(json.dumps(doc))
+    header, arrays = _saved(path)
+    if name == "constant_mask":
+        header["constant_mask"] = [False] * width
+    else:
+        key = f"normalizer.{name}"
+        header["arrays"] = [[k, [width] if k == key else shape] for k, shape in header["arrays"]]
+        arrays[key] = np.ones(width)
+    _write(path, header, arrays)
     with pytest.raises(ModelShapeError, match=name):
         load_model(path)
 
@@ -332,9 +383,9 @@ def test_load_rejects_wrong_normalizer_length(tmp_path, name, width):
 ], ids=["strings-and-null", "integers", "null-entry", "not-a-list"])
 def test_load_rejects_non_boolean_constant_mask(tmp_path, mask, message):
     path = tmp_path / "model.json"
-    doc = _saved_doc(path)
-    doc["normalizer"]["constant_mask"] = mask
-    path.write_text(json.dumps(doc))
+    header, arrays = _saved(path)
+    header["constant_mask"] = mask
+    _write(path, header, arrays)
     with pytest.raises(ModelParseError, match=message):
         load_model(path)
 
@@ -346,28 +397,33 @@ def test_load_rejects_non_boolean_constant_mask(tmp_path, mask, message):
 ])
 def test_load_rejects_non_finite_values(tmp_path, section, name, value):
     path = tmp_path / "model.json"
-    doc = _saved_doc(path)
-    entry, key = (doc[section], name) if section == "normalizer" else (doc[section][name], "data")
-    values = _floats(entry[key])
-    values[0] = value
-    entry[key] = _payload(values)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelParseError, match="non-finite"):
+    header, arrays = _saved(path)
+    name = f"normalizer.{name}" if section == "normalizer" else name
+    arrays[name][0] = value
+    _write(path, header, arrays)
+    with pytest.raises(ModelParseError, match=rf"{name}: non-finite"):
         load_model(path)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda p: "!" + p[1:],                 # outside the base64 alphabet
-    lambda p: p[:-1],                      # broken padding
-    lambda p: p[:8] + "\n" + p[8:],        # whitespace is not skipped
-    _hexes,                                # a v1 hex list
-])
-def test_load_rejects_invalid_base64(tmp_path, corrupt):
+def _transposed_dense3_w(header):
+    header["arrays"] = [[k, shape[::-1] if k == "dense3_w" else shape]
+                        for k, shape in header["arrays"]]
+    return _header_bytes(header)
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda header, body: _header_bytes(header) + b"\n" + body[:-1], ModelShapeError),
+    (lambda header, body: _header_bytes(header) + b"\n" + body + bytes(8), ModelShapeError),
+    (lambda header, body: _header_bytes(header) + body, ModelParseError),
+    (lambda header, body: _transposed_dense3_w(header) + b"\n" + body, ModelShapeError),
+], ids=["one-byte-short", "eight-bytes-extra", "no-newline-after-header",
+        "header-shape-disagrees-with-config"])
+def test_load_rejects_corrupt_payload(tmp_path, corrupt, error):
     path = tmp_path / "model.json"
-    doc = _saved_doc(path)
-    doc["params"]["conv_b"]["data"] = corrupt(doc["params"]["conv_b"]["data"])
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelParseError):
+    header, arrays = _saved(path)
+    assert header["arrays"][-2] == ["dense3_w", [2, 4]]  # not square, so a transpose shows
+    path.write_bytes(corrupt(header, _payload(arrays)))
+    with pytest.raises(error):
         load_model(path)
 
 

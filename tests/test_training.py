@@ -16,7 +16,8 @@ from gridcast.training import (AdamState, DivergenceError, Hyperparams,
                                fit_forecaster, joint_loss_and_grad, multi_run,
                                train)
 
-from conftest import central_diff, oracle_adam_step, oracle_train, rel_err
+from conftest import (central_diff, oracle_adam_step, oracle_joint_loss_and_grad,
+                      oracle_train, rel_err)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 
@@ -58,6 +59,18 @@ def test_joint_loss_uniform_error():
     loss, d = joint_loss_and_grad(pred, target, 2)
     assert loss == pytest.approx(2.0)  # e^2 per head, two heads
     npt.assert_allclose(d, np.full((1, 4), 1.0))
+
+
+@given(st.integers(1, 70), st.integers(1, 120), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e6]))
+@settings(max_examples=60, deadline=None)
+def test_joint_loss_bit_identical_to_oracle(b, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    pred, target = rng.normal(scale=scale, size=(2, b, 2 * n))
+    loss, d = joint_loss_and_grad(pred, target, n)
+    want_loss, want_d = oracle_joint_loss_and_grad(pred, target, n)
+    assert np.float64(loss).view(np.uint64) == np.float64(want_loss).view(np.uint64)
+    assert np.array_equal(d.view(np.uint64), want_d.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
