@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -125,57 +125,70 @@ def cmd_train(args):
 # eval
 # ---------------------------------------------------------------------------
 
+def _mean_report(reports):
+    """Field-wise mean of MetricsReports of runs on the same test windows."""
+    return replace(reports[0], **{
+        f.name: float(np.mean([getattr(rep, f.name) for rep in reports]))
+        for f in fields(reports[0]) if f.name != "n_test_windows"})
+
+
 def cmd_eval(args):
+    """One table row per method. A retrained method (the model's kind with
+    --runs > 1, rnn-only) runs from the same seeds; its row is the mean."""
     t0 = time.perf_counter()
-    model = load_model(args.model)
-    series = load_series(args.data)
-    if series.n_buses != model.config.n_buses:
-        raise DataFormatError(
-            f"model expects {model.config.n_buses} buses, data has {series.n_buses}")
-    compare = [c.strip() for c in (args.compare or "").split(",") if c.strip()]
+    compare = list(dict.fromkeys(c.strip() for c in (args.compare or "").split(",") if c.strip()))
     for c in compare:
         if c not in ("persistence", "rnn-only"):
             raise UsageError(f"unknown --compare entry {c!r}")
-    if "rnn-only" in compare and model.config.kind == RNN_ONLY:
-        raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
-    if args.runs <= 1 and "rnn-only" not in compare:
+    if args.runs < 1:
+        raise UsageError(f"--runs must be >= 1, got {args.runs}")
+    if args.runs == 1 and "rnn-only" not in compare:
         for flag, dest, _ in TRAINING_FLAGS:
             if getattr(args, dest) is not None:
                 raise UsageError(f"{flag} only applies when eval retrains "
                                  "(--runs > 1 or --compare rnn-only)")
     hp = _hyperparams_from(args)
+
+    model = load_model(args.model)
+    kind, n = model.config.kind, model.config.n_buses
+    if "rnn-only" in compare and kind == RNN_ONLY:
+        raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
+    retrain = {}  # method -> ModelConfig it is retrained with
     if args.runs > 1:
-        _check_freeze(model.config, args.freeze_branch)
+        retrain[kind] = model.config
     if "rnn-only" in compare:
-        _check_freeze(replace(model.config, kind=RNN_ONLY), args.freeze_branch)
+        retrain["rnn-only"] = replace(model.config, kind=RNN_ONLY)
+    for config in retrain.values():
+        _check_freeze(config, args.freeze_branch)
+
+    series = load_series(args.data)
+    if series.n_buses != n:
+        raise DataFormatError(f"model expects {n} buses, data has {series.n_buses}")
     r = model.config.lag_r
     _, test_part = chronological_split(series, args.train_fraction, min_len=r + 1)
     x_test, y_test = build_windows(test_part, r)
 
-    seeds = [hp.seed]
-    aggregate = None
-    if args.runs <= 1:
-        metrics, trace = evaluation.evaluate(model, x_test, y_test)
-    else:
-        seeds = list(range(hp.seed, hp.seed + args.runs))
-        aggregate, per_run, trace = training.multi_run(
-            series, model.config, hp, args.runs, args.train_fraction)
-        metrics = per_run[0]
-    reports = {model.config.kind: metrics}
-    if "persistence" in compare:
-        preds = evaluation.persistence_predictions(x_test)
-        reports["persistence"], _ = evaluation.evaluate_predictions(
-            preds, y_test, model.config.n_buses)
-    if "rnn-only" in compare:
-        _, rnn_runs, _ = training.multi_run(
-            series, replace(model.config, kind=RNN_ONLY), hp, 1, args.train_fraction)
-        reports["rnn-only"] = rnn_runs[0]
+    reports, aggregates = {}, {}
+    for method in [kind] + compare:
+        if method == "persistence":
+            preds = evaluation.persistence_predictions(x_test)
+            reports[method], _ = evaluation.evaluate_predictions(preds, y_test, n)
+        elif method in retrain:
+            aggregates[method], runs, run_trace = training.multi_run(
+                series, retrain[method], hp, args.runs, args.train_fraction)
+            reports[method] = _mean_report(runs)
+        else:
+            preds = forecaster.forecast_batch(model, x_test)
+            reports[method], run_trace = evaluation.evaluate_predictions(preds, y_test, n)
+        if method == kind:
+            trace = run_trace
 
-    table = evaluation.comparison_table(reports)
-    body = table
-    if aggregate is not None:
-        body += "\naggregate over independent runs:\n"
-        body += json.dumps(aggregate, indent=1) + "\n"
+    body = evaluation.comparison_table(reports)
+    if args.runs > 1:
+        for method, aggregate in aggregates.items():
+            label = "" if method == kind else f" ({method})"
+            body += f"\naggregate over independent runs{label}:\n"
+            body += json.dumps(aggregate, indent=1) + "\n"
     outputs = []
     if args.report_out:
         with atomic_write(args.report_out) as fh:
@@ -185,6 +198,7 @@ def cmd_eval(args):
         evaluation.export_trace_csv(trace, args.trace_out)
         outputs.append(args.trace_out)
     primary = args.report_out or args.trace_out or (args.model + ".eval")
+    seeds = list(range(hp.seed, hp.seed + args.runs))
     _write_manifest(primary, "eval", args, seeds,
                     [args.model, args.data], outputs, t0)
     print(body, end="")

@@ -226,11 +226,17 @@ def load_series(path) -> StateSeries:
 def atomic_write(path, mode="w"):
     """Yield a file open for writing, UTF-8 text by default or bytes with
     mode "wb"; on a clean exit it replaces `path` in one step, so readers
-    never see a partly written file."""
+    never see a partly written file. On an error the temporary file is
+    removed and `path` is left as it was."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_series(series: StateSeries, path):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forecaster
 from .data_pipeline import atomic_write
 
 
@@ -40,16 +39,9 @@ class ErrorTrace:
     ae_va: np.ndarray
 
 
-def _as_2d(values):
-    a = np.asarray(values, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    return a
-
-
 def normalized_rmse(preds, truths):
-    preds = _as_2d(preds)
-    truths = _as_2d(truths)
+    preds = np.asarray(preds, dtype=float)
+    truths = np.asarray(truths, dtype=float)
     if preds.shape != truths.shape or preds.size == 0:
         raise ValueError(f"bad shapes {preds.shape} vs {truths.shape}")
     num = np.sqrt(np.sum((preds - truths) ** 2))
@@ -59,15 +51,22 @@ def normalized_rmse(preds, truths):
     return float(num / den)
 
 
-def ae_stats(preds, truths, n_buses) -> MetricsReport:
-    preds = _as_2d(preds)
-    truths = _as_2d(truths)
-    if preds.shape != truths.shape or preds.shape[1] != 2 * n_buses:
+def persistence_predictions(windows):
+    """Naive forecast: each (2n, r) window's most recent state (last column)."""
+    return np.asarray(windows, dtype=float)[:, :, -1].copy()
+
+
+def evaluate_predictions(preds, truths, n_buses):
+    """(T, 2n) predictions and truths in physical units, magnitudes first
+    -> (MetricsReport, ErrorTrace)."""
+    preds = np.asarray(preds, dtype=float)
+    truths = np.asarray(truths, dtype=float)
+    if preds.ndim != 2 or preds.shape != truths.shape or preds.shape[1] != 2 * n_buses:
         raise ValueError(f"bad shapes {preds.shape} vs {truths.shape} for n={n_buses}")
     ae = np.abs(preds - truths)
     ae_vm = ae[:, :n_buses]
     ae_va = ae[:, n_buses:]
-    return MetricsReport(
+    report = MetricsReport(
         nrmse=normalized_rmse(preds, truths),
         nrmse_magnitude=normalized_rmse(preds[:, :n_buses], truths[:, :n_buses]),
         nrmse_angle=normalized_rmse(preds[:, n_buses:], truths[:, n_buses:]),
@@ -77,27 +76,7 @@ def ae_stats(preds, truths, n_buses) -> MetricsReport:
         max_ae_angle=float(ae_va.max()),
         n_test_windows=preds.shape[0],
     )
-
-
-def persistence_predictions(windows):
-    """Naive forecast: each (2n, r) window's most recent state (last column)."""
-    return np.asarray(windows, dtype=float)[:, :, -1].copy()
-
-
-def evaluate(model, x_test, y_test):
-    """Forecast every test window (physical units) and compute the report
-    plus the full error trace."""
-    preds = forecaster.forecast_batch(model, x_test)
-    return evaluate_predictions(preds, y_test, model.config.n_buses)
-
-
-def evaluate_predictions(preds, truths, n_buses):
-    preds = _as_2d(preds)
-    truths = _as_2d(truths)
-    report = ae_stats(preds, truths, n_buses)
-    ae = np.abs(preds - truths)
-    trace = ErrorTrace(ae[:, :n_buses].copy(), ae[:, n_buses:].copy())
-    return report, trace
+    return report, ErrorTrace(ae_vm.copy(), ae_va.copy())
 
 
 # ---------------------------------------------------------------------------

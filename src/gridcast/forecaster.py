@@ -144,14 +144,11 @@ def param_layout(cfg: ModelConfig):
     return layout
 
 
-def cnn_branch_param_names(cfg: ModelConfig):
-    return [n for n, _ in _param_shapes(cfg)
-            if n.startswith(("conv_", "dense1_", "dense2_"))]
-
-
-def rnn_branch_param_names(cfg: ModelConfig):
-    return [n for n, _ in _param_shapes(cfg)
-            if n.startswith(("rnn", "dense3_"))]
+def branch_param_names(cfg: ModelConfig, branch):
+    """Names of the parameters of the "cnn" (magnitude) or "rnn" (angle)
+    branch; an RNN-only model has no "cnn" parameters."""
+    prefixes = {"cnn": ("conv_", "dense1_", "dense2_"), "rnn": ("rnn", "dense3_")}[branch]
+    return [n for n, _ in _param_shapes(cfg) if n.startswith(prefixes)]
 
 
 def param_count(cfg: ModelConfig) -> int:
@@ -202,11 +199,6 @@ def _check_window_batch(cfg, x):
     return x
 
 
-def _rnn_layer_params(cfg, params):
-    return [(params[f"rnn{l}_wx"], params[f"rnn{l}_wh"], params[f"rnn{l}_b"])
-            for l in range(cfg.rnn_layers)]
-
-
 def model_forward(model: ForecastModel, x):
     """x: normalized windows (B, 2n, r) -> predictions (B, 2n), cache.
 
@@ -215,7 +207,8 @@ def model_forward(model: ForecastModel, x):
     cfg, p = model.config, model.params
     x = _check_window_batch(cfg, x)
     cache = {}
-    top, cache["rnn"] = layers.stacked_rnn_forward(x, _rnn_layer_params(cfg, p))
+    rnn = [(p[f"rnn{l}_wx"], p[f"rnn{l}_wh"], p[f"rnn{l}_b"]) for l in range(cfg.rnn_layers)]
+    top, cache["rnn"] = layers.stacked_rnn_forward(x, rnn)
     out, cache["dense3"] = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
     if cfg.kind == HYBRID:
         conv, cache["conv"] = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
@@ -260,12 +253,7 @@ def model_backward(model: ForecastModel, cache, d_out):
 def forecast_next(model: ForecastModel, window):
     """Raw (physical-unit) (2n, r) window -> 2n next-state forecast in
     physical units, magnitudes first."""
-    window = np.asarray(window, dtype=float)
-    cfg = model.config
-    if window.shape != (cfg.n_features, cfg.lag_r):
-        raise layers.ShapeError(
-            f"expected a ({cfg.n_features}, {cfg.lag_r}) window, got {window.shape}")
-    return forecast_batch(model, window[None])[0]
+    return forecast_batch(model, np.asarray(window, dtype=float)[None])[0]
 
 
 def forecast_batch(model: ForecastModel, windows):

@@ -137,22 +137,13 @@ def adam_step(theta, g, state: AdamState, hp: Hyperparams):
         np.subtract(p, a, out=p)
 
 
-def batch_loss_and_grads(model: ForecastModel, x, y):
-    """Forward + backward over one normalized batch; returns (loss, grads)."""
-    pred, cache = forecaster.model_forward(model, x)
-    loss, d_pred = joint_loss_and_grad(pred, y, model.config.n_buses)
-    grads = forecaster.model_backward(model, cache, d_pred)
-    return loss, grads
-
-
 def frozen_param_names(cfg: ModelConfig, freeze_branch):
     """Names of the parameters `freeze_branch` holds fixed. Raises
     ValueError when the model has no such branch or when freezing it would
     leave nothing to train (both branches of an RNN-only model)."""
     if freeze_branch is None:
         return []
-    names = (forecaster.cnn_branch_param_names(cfg) if freeze_branch == "cnn"
-             else forecaster.rnn_branch_param_names(cfg))
+    names = forecaster.branch_param_names(cfg, freeze_branch)
     if not names:
         raise ValueError(f"a {cfg.kind} model has no {freeze_branch} branch to freeze")
     if len(names) == len(forecaster.param_layout(cfg)):
@@ -191,9 +182,11 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
         total = 0.0
         for bi, start in enumerate(range(0, n, hp.batch_size)):
             idx = order[start:start + hp.batch_size]
-            loss, grads = batch_loss_and_grads(work, x[idx], y[idx])
+            pred, cache = forecaster.model_forward(work, x[idx])
+            loss, d_pred = joint_loss_and_grad(pred, y[idx], cfg.n_buses)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, bi, loss)
+            grads = forecaster.model_backward(work, cache, d_pred)
             np.concatenate([grads[k].ravel() for k in layout], out=g)
             for s in frozen:
                 g[s] = 0.0

@@ -4,7 +4,16 @@ import pytest
 from gridcast import forecaster
 from gridcast.forecaster import ForecastModel
 from gridcast.layers import ShapeError
-from gridcast.training import batch_loss_and_grads
+from gridcast.training import joint_loss_and_grad
+
+
+def batch_loss_and_grads(model, x, y):
+    """Forward + backward over one normalized batch; returns (loss, grads).
+    The gradcheck handle: the loss and gradients `train` steps on."""
+    pred, cache = forecaster.model_forward(model, x)
+    loss, d_pred = joint_loss_and_grad(pred, y, model.config.n_buses)
+    grads = forecaster.model_backward(model, cache, d_pred)
+    return loss, grads
 
 
 def central_diff(f, x, h=1e-5):
@@ -159,9 +168,8 @@ def oracle_train(model, windows, hp):
     arrays every step, frozen gradients replaced by zeros, and
     oracle_adam_step. Returns (params, epoch_losses)."""
     x, y = (np.asarray(a, dtype=float) for a in windows)
-    frozen = {"cnn": forecaster.cnn_branch_param_names,
-              "rnn": forecaster.rnn_branch_param_names,
-              None: lambda cfg: []}[hp.freeze_branch](model.config)
+    frozen = (forecaster.branch_param_names(model.config, hp.freeze_branch)
+              if hp.freeze_branch else [])
     params = {k: p.copy() for k, p in model.params.items()}
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}

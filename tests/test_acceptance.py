@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gridcast import evaluation, forecaster, layers, training
+from gridcast import forecaster, layers, training
 from gridcast.cli import main as cli_main
 from gridcast.data_pipeline import (SyntheticConfig, build_windows,
                                     chronological_split, fit_normalizer,
@@ -18,9 +18,9 @@ from gridcast.evaluation import (comparison_table, evaluate_predictions,
                                  export_trace_csv, normalized_rmse,
                                  persistence_predictions)
 from gridcast.forecaster import ModelConfig, init_model, param_count
-from gridcast.training import Hyperparams, batch_loss_and_grads, fit_forecaster
+from gridcast.training import Hyperparams, fit_forecaster
 
-from conftest import central_diff, rel_err
+from conftest import batch_loss_and_grads, central_diff, rel_err
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4, rnn_layers=3)
 FD_STEP = 1e-5
@@ -248,8 +248,8 @@ def test_criterion_6_baseline_parity_harness(shipped_series):
     rnn_cfg = ModelConfig(n_buses=14, lag_r=10, kind=forecaster.RNN_ONLY)
     hmodel, _, x_test, y_test, _ = fit_forecaster(shipped_series, hybrid_cfg, hp)
     rmodel, _, _, _, _ = fit_forecaster(shipped_series, rnn_cfg, hp)
-    h_rep, _ = evaluation.evaluate(hmodel, x_test, y_test)
-    r_rep, _ = evaluation.evaluate(rmodel, x_test, y_test)
+    h_rep, _ = evaluate_predictions(forecaster.forecast_batch(hmodel, x_test), y_test, 14)
+    r_rep, _ = evaluate_predictions(forecaster.forecast_batch(rmodel, x_test), y_test, 14)
     p_rep, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 14)
     table = comparison_table({"hybrid": h_rep, "rnn-only": r_rep,
                               "persistence": p_rep})

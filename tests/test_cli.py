@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gridcast.cli import main
-from gridcast.data_pipeline import load_series
-from gridcast.forecaster import load_model
+from gridcast.data_pipeline import build_windows, chronological_split, load_series
+from gridcast.evaluation import (comparison_table, evaluate_predictions,
+                                 persistence_predictions)
+from gridcast.forecaster import RNN_ONLY, load_model
+from gridcast.training import Hyperparams, multi_run
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +275,53 @@ def test_eval_unknown_compare_entry(tmp_path, dataset, model_file):
     rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
                "--report-out", str(tmp_path / "r.txt"), "--compare", "arima"])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def rnn_model_file(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("rnn") / "rnn.gcm"
+    assert main(["train", "--data", str(dataset), "--model-out", str(path),
+                 "--epochs", "0", "--baseline", "rnn-only"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("model, flags", [
+    (None, ["--compare", "arima", "--epochs", "3"]),
+    (None, ["--epochs", "3"]),
+    (None, ["--runs", "0"]),
+    ("rnn-only", ["--compare", "rnn-only"]),
+    ("rnn-only", ["--runs", "2", "--epochs", "1", "--freeze-branch", "cnn"]),
+], ids=["unknown-compare", "flag-without-retraining", "zero-runs", "rnn-only-vs-rnn-only",
+        "freeze-missing-branch"])
+def test_eval_usage_error_precedes_loading(tmp_path, rnn_model_file, model, flags):
+    """Flag checks run before any load; checks on the model's kind run
+    before the data file is read (here it does not exist)."""
+    path = rnn_model_file if model else tmp_path / "nope.m"
+    rc = main(["eval", "--model", str(path), "--data", str(tmp_path / "nope.csv")] + flags)
+    assert rc == 2
+
+
+def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, model_file):
+    report = tmp_path / "r.txt"
+    rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
+               "--report-out", str(report), "--runs", "2", "--epochs", "1", "--seed", "4",
+               "--compare", "persistence,rnn-only"])
+    assert rc == 0
+    series, config = load_series(dataset), load_model(model_file).config
+    hp = Hyperparams(epochs=1, seed=4)
+
+    def mean_row(cfg):
+        _, runs, _ = multi_run(series, cfg, hp, 2)
+        assert len(runs) == 2 and runs[0].nrmse != runs[1].nrmse
+        return replace(runs[0], **{f.name: float(np.mean([getattr(m, f.name) for m in runs]))
+                                   for f in fields(runs[0]) if f.name != "n_test_windows"})
+
+    _, test_part = chronological_split(series, min_len=config.lag_r + 1)
+    x_test, y_test = build_windows(test_part, config.lag_r)
+    persistence, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 3)
+    table = comparison_table({"hybrid": mean_row(config), "persistence": persistence,
+                              "rnn-only": mean_row(replace(config, kind=RNN_ONLY))})
+    assert report.read_text().startswith(table + "\naggregate over independent runs:\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcast.data_pipeline import (DataFormatError, Normalizer, StateSeries,
-                                    SyntheticConfig, build_windows,
+                                    SyntheticConfig, atomic_write, build_windows,
                                     chronological_split, fit_normalizer,
                                     generate_synthetic_series, load_series,
                                     save_series)
@@ -85,6 +85,18 @@ def test_save_load_round_trip(tmp_path):
     back = load_series(path)
     assert back.n_buses == series.n_buses
     npt.assert_array_equal(back.values, series.values)
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_atomic_write_error_leaves_target_and_no_temp_file(tmp_path, mode):
+    target = tmp_path / "x.out"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target, mode) as fh:
+            fh.write("new\n" if mode == "w" else b"new\n")
+            raise RuntimeError("body failed")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.out"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast.evaluation import (ErrorTrace, ae_stats, comparison_table,
-                                 evaluate, evaluate_predictions,
-                                 export_trace_csv, normalized_rmse,
-                                 persistence_predictions)
+from gridcast.evaluation import (ErrorTrace, comparison_table,
+                                 evaluate_predictions, export_trace_csv,
+                                 normalized_rmse, persistence_predictions)
 from gridcast.data_pipeline import (SyntheticConfig, atomic_write, build_windows,
                                     generate_synthetic_series)
-from gridcast.forecaster import ModelConfig, init_model
+from gridcast.forecaster import ModelConfig, forecast_batch, init_model
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,7 @@ def test_nrmse_scale_covariant_in_errors(c, seed):
 
 def test_ae_stats_perfect(rng):
     truths = rng.normal(size=(4, 6)) + 2.0
-    rep = ae_stats(truths.copy(), truths, 3)
+    rep = evaluate_predictions(truths.copy(), truths, 3)[0]
     assert (rep.avg_ae_magnitude, rep.max_ae_magnitude) == (0.0, 0.0)
     assert (rep.avg_ae_angle, rep.max_ae_angle) == (0.0, 0.0)
     assert rep.nrmse == 0.0
@@ -68,7 +67,7 @@ def test_ae_stats_uniform_magnitude_error():
     truths = np.ones((3, 4))
     preds = truths.copy()
     preds[:, :2] += 0.01
-    rep = ae_stats(preds, truths, 2)
+    rep = evaluate_predictions(preds, truths, 2)[0]
     assert rep.avg_ae_magnitude == pytest.approx(0.01)
     assert rep.max_ae_magnitude == pytest.approx(0.01)
     assert rep.avg_ae_angle == 0.0 and rep.max_ae_angle == 0.0
@@ -77,11 +76,11 @@ def test_ae_stats_uniform_magnitude_error():
 def test_ae_stats_hand_avg_max():
     truths = np.zeros((2, 2))
     preds = np.array([[0.01, 0.0], [0.03, 0.0]])
-    rep = ae_stats(preds, truths + 1.0, 1)
+    rep = evaluate_predictions(preds, truths + 1.0, 1)[0]
     npt.assert_allclose(rep.avg_ae_magnitude, np.mean([0.99, 0.97]))
     # one magnitude error per instance: {0.01, 0.03}
-    rep = ae_stats(np.array([[1.01, 5.0], [1.03, 5.0]]),
-                   np.array([[1.0, 5.0], [1.0, 5.0]]), 1)
+    rep = evaluate_predictions(np.array([[1.01, 5.0], [1.03, 5.0]]),
+                               np.array([[1.0, 5.0], [1.0, 5.0]]), 1)[0]
     assert rep.avg_ae_magnitude == pytest.approx(0.02)
     assert rep.max_ae_magnitude == pytest.approx(0.03)
 
@@ -89,17 +88,23 @@ def test_ae_stats_hand_avg_max():
 def test_max_ae_at_least_avg_and_order_invariant(rng):
     preds = rng.normal(size=(6, 8))
     truths = rng.normal(size=(6, 8))
-    rep = ae_stats(preds, truths, 4)
+    rep = evaluate_predictions(preds, truths, 4)[0]
     assert rep.max_ae_magnitude >= rep.avg_ae_magnitude
     assert rep.max_ae_angle >= rep.avg_ae_angle
     perm = rng.permutation(6)
-    rep2 = ae_stats(preds[perm], truths[perm], 4)
+    rep2 = evaluate_predictions(preds[perm], truths[perm], 4)[0]
     assert rep2 == rep
 
 
 def test_ae_stats_rejects_mismatch():
     with pytest.raises(ValueError):
-        ae_stats(np.zeros((2, 4)), np.ones((2, 4)), 3)
+        evaluate_predictions(np.zeros((2, 4)), np.ones((2, 4)), 3)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 3)])
+def test_evaluate_predictions_rejects_non_2d_input(shape):
+    with pytest.raises(ValueError, match="bad shapes"):
+        evaluate_predictions(np.ones(shape), np.ones(shape), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ def test_persistence_zero_error_on_constant_series():
     windows = np.tile(series_row[None, :, None], (3, 1, 5))
     preds = persistence_predictions(windows)
     truths = np.tile(series_row, (3, 1))
-    rep = ae_stats(preds, truths, 2)
+    rep = evaluate_predictions(preds, truths, 2)[0]
     assert rep.nrmse == 0.0
 
 
@@ -135,8 +140,8 @@ def test_evaluate_shapes_and_determinism(rng):
     model = init_model(cfg, 0)
     x = rng.normal(size=(7, 4, 3))
     y = rng.normal(size=(7, 4))
-    rep1, tr1 = evaluate(model, x, y)
-    rep2, tr2 = evaluate(model, x, y)
+    rep1, tr1 = evaluate_predictions(forecast_batch(model, x), y, 2)
+    rep2, tr2 = evaluate_predictions(forecast_batch(model, x), y, 2)
     assert tr1.ae_vm.shape == (7, 2) and tr1.ae_va.shape == (7, 2)
     assert rep1 == rep2
     npt.assert_array_equal(tr1.ae_vm, tr2.ae_vm)
@@ -215,7 +220,7 @@ def test_trace_slices(tmp_path, rng):
 def test_comparison_table_layout(rng):
     preds = rng.normal(size=(3, 4))
     truths = rng.normal(size=(3, 4))
-    rep = ae_stats(preds, truths, 2)
+    rep = evaluate_predictions(preds, truths, 2)[0]
     table = comparison_table({"hybrid": rep, "persistence": rep})
     lines = table.splitlines()
     assert "AvgAE |V|" in lines[0] and "MaxAE angle" in lines[0] and "nRMSE" in lines[0]

@@ -14,9 +14,9 @@ from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, ModelParseError,
                                  ModelShapeError, ModelVersionError,
-                                 _param_shapes, cnn_branch_param_names, forecast_batch,
+                                 _param_shapes, branch_param_names, forecast_batch,
                                  forecast_next, init_model, load_model, model_forward,
-                                 param_count, rnn_branch_param_names, save_model)
+                                 param_count, save_model)
 
 from conftest import rnn_cell_step
 
@@ -219,14 +219,14 @@ def test_branch_independence(rng):
     model = tiny_model(8)
     window = rng.normal(size=(4, 3))
     base = forecast_next(model, window)
-    for name in cnn_branch_param_names(model.config):
+    for name in branch_param_names(model.config, "cnn"):
         perturbed = ForecastModel(model.config,
                                   {k: p.copy() for k, p in model.params.items()},
                                   model.normalizer)
         perturbed.params[name] = perturbed.params[name] + 0.37
         out = forecast_next(perturbed, window)
         npt.assert_array_equal(out[2:], base[2:])  # angle half untouched
-    for name in rnn_branch_param_names(model.config):
+    for name in branch_param_names(model.config, "rnn"):
         perturbed = ForecastModel(model.config,
                                   {k: p.copy() for k, p in model.params.items()},
                                   model.normalizer)

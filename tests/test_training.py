@@ -12,12 +12,11 @@ from gridcast import evaluation, forecaster, training
 from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series
 from gridcast.forecaster import ModelConfig, init_model, param_count, param_layout
 from gridcast.training import (AdamState, DivergenceError, Hyperparams,
-                               adam_step, batch_loss_and_grads,
-                               fit_forecaster, joint_loss_and_grad, multi_run,
-                               train)
+                               adam_step, fit_forecaster, joint_loss_and_grad,
+                               multi_run, train)
 
-from conftest import (central_diff, oracle_adam_step, oracle_joint_loss_and_grad,
-                      oracle_train, rel_err)
+from conftest import (batch_loss_and_grads, central_diff, oracle_adam_step,
+                      oracle_joint_loss_and_grad, oracle_train, rel_err)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 
@@ -262,13 +261,13 @@ def test_branch_gradient_isolation(rng):
     d = np.zeros_like(pred)
     d[:, :n] = 2.0 * (pred[:, :n] - y[:, :n]) / (len(x) * n)
     grads = forecaster.model_backward(model, cache, d)
-    for name in forecaster.rnn_branch_param_names(model.config):
+    for name in forecaster.branch_param_names(model.config, "rnn"):
         npt.assert_array_equal(grads[name], np.zeros_like(grads[name]))
     # angle-only loss: zero gradient on every CNN-branch parameter
     d = np.zeros_like(pred)
     d[:, n:] = 2.0 * (pred[:, n:] - y[:, n:]) / (len(x) * n)
     grads = forecaster.model_backward(model, cache, d)
-    for name in forecaster.cnn_branch_param_names(model.config):
+    for name in forecaster.branch_param_names(model.config, "cnn"):
         npt.assert_array_equal(grads[name], np.zeros_like(grads[name]))
 
 
@@ -276,10 +275,10 @@ def test_freeze_branch_keeps_parameters_fixed():
     model = init_model(ModelConfig(**TINY), 2)
     hp = Hyperparams(epochs=3, freeze_branch="cnn")
     trained, _ = train(model, tiny_data(), hp)
-    for name in forecaster.cnn_branch_param_names(model.config):
+    for name in forecaster.branch_param_names(model.config, "cnn"):
         npt.assert_array_equal(trained.params[name], model.params[name])
     assert any(not np.array_equal(trained.params[n], model.params[n])
-               for n in forecaster.rnn_branch_param_names(model.config))
+               for n in forecaster.branch_param_names(model.config, "rnn"))
 
 
 def test_whole_model_gradient_matches_finite_differences():
@@ -336,7 +335,8 @@ def test_multi_run_single_equals_run(small_series):
     assert agg["n_completed"] == 1
     assert agg["nrmse_mean"] == reports[0].nrmse == report.test_nrmse
     assert agg["nrmse_std"] == 0.0
-    expected, expected_trace = evaluation.evaluate(model, x_test, y_test)
+    expected, expected_trace = evaluation.evaluate_predictions(
+        forecaster.forecast_batch(model, x_test), y_test, cfg.n_buses)
     assert reports[0] == expected
     npt.assert_array_equal(trace.ae_va, expected_trace.ae_va)
 
@@ -352,6 +352,7 @@ def test_multi_run_aggregate_consistency(small_series):
     # distinct seeds per run: run i is the protocol at seed 1 + i
     for i, got in enumerate(reports):
         model, _, x_test, y_test, _ = fit_forecaster(small_series, cfg, replace(hp, seed=1 + i))
-        assert got == evaluation.evaluate(model, x_test, y_test)[0]
+        assert got == evaluation.evaluate_predictions(
+            forecaster.forecast_batch(model, x_test), y_test, cfg.n_buses)[0]
     assert len({r.nrmse for r in reports}) == 3
 
