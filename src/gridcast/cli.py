@@ -19,7 +19,7 @@ import numpy as np
 
 from . import evaluation, forecaster, training
 from .data_pipeline import (DataFormatError, SyntheticConfig, atomic_write,
-                            build_windows, chronological_split,
+                            build_windows, check_train_fraction, chronological_split,
                             generate_synthetic_series, load_series, save_series)
 from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig,
                          ModelFormatError, load_model, save_model)
@@ -60,15 +60,12 @@ def cmd_gen_data(args):
     t0 = time.perf_counter()
     if args.length < 12:
         raise UsageError(f"--length must be >= 12 (lag 10 needs r+1 states), got {args.length}")
-    cfg = SyntheticConfig(
-        n_buses=args.buses,
-        length=args.length,
-        period=args.period,
-        noise_std_magnitude=args.noise,
-        noise_std_angle=args.angle_noise,
-        coupling=args.coupling,
-        seed=args.seed,
-    )
+    try:
+        cfg = SyntheticConfig(n_buses=args.buses, length=args.length, period=args.period,
+                              noise_std_magnitude=args.noise, noise_std_angle=args.angle_noise,
+                              coupling=args.coupling, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     series = generate_synthetic_series(cfg)
     save_series(series, args.out)
     _write_manifest(args.out, "gen-data", args, [args.seed], [], [args.out], t0)
@@ -86,28 +83,39 @@ TRAINING_FLAGS = (("--epochs", "epochs", "epochs"), ("--batch", "batch", "batch_
                   ("--freeze-branch", "freeze_branch", "freeze_branch"))
 
 
-def _hyperparams_from(args):
-    """Hyperparams from the training flags; a flag left at None (not given
-    to eval) keeps the Hyperparams default."""
-    given = {field: getattr(args, dest) for _, dest, field in TRAINING_FLAGS}
-    return Hyperparams(**{k: v for k, v in given.items() if v is not None})
-
-
-def _check_freeze(config, freeze_branch):
-    """A --freeze-branch that names a missing branch, or that would freeze
-    every parameter, is a usage error."""
+def _checked(flag, value, check):
+    """check(value), with a ValueError it raises made a usage error that
+    names the flag."""
     try:
-        training.frozen_param_names(config, freeze_branch)
+        return check(value)
     except ValueError as exc:
-        raise UsageError(f"--freeze-branch {freeze_branch}: {exc}") from None
+        raise UsageError(f"{flag} {value}: {exc}") from None
+
+
+def _hyperparams_from(args):
+    """Hyperparams from the training flags, each checked on its own, after
+    a check of --train-fraction; a flag left at None (not given to eval)
+    keeps the Hyperparams default."""
+    _checked("--train-fraction", args.train_fraction, check_train_fraction)
+    given = {}
+    for flag, dest, field in TRAINING_FLAGS:
+        if getattr(args, dest) is not None:
+            given[field] = getattr(args, dest)
+            _checked(flag, given[field], lambda value: Hyperparams(**{field: value}))
+    return Hyperparams(**given)
 
 
 def cmd_train(args):
     t0 = time.perf_counter()
+    hp = _hyperparams_from(args)
+    # the --lag and --freeze-branch rules do not depend on the bus count, so a
+    # one-bus config checks them before the data file is read
+    probe = _checked("--lag", args.lag,
+                     lambda lag: ModelConfig(n_buses=1, lag_r=lag, kind=args.baseline))
+    _checked("--freeze-branch", args.freeze_branch,
+             lambda branch: training.frozen_param_names(probe, branch))
     series = load_series(args.data)
     config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
-    _check_freeze(config, args.freeze_branch)
-    hp = _hyperparams_from(args)
     model, report, *_ = training.fit_forecaster(
         series, config, hp, train_fraction=args.train_fraction)
     save_model(model, args.model_out)
@@ -158,8 +166,9 @@ def cmd_eval(args):
         retrain[kind] = model.config
     if "rnn-only" in compare:
         retrain["rnn-only"] = replace(model.config, kind=RNN_ONLY)
-    for config in retrain.values():
-        _check_freeze(config, args.freeze_branch)
+    for config in retrain.values():  # a missing branch, or nothing left to train
+        _checked("--freeze-branch", args.freeze_branch,
+                 lambda branch: training.frozen_param_names(config, branch))
 
     series = load_series(args.data)
     if series.n_buses != n:

@@ -128,14 +128,18 @@ def fit_normalizer(train: StateSeries) -> Normalizer:
     return Normalizer(mean, std, constant)
 
 
+def check_train_fraction(train_fraction):
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
 def chronological_split(series: StateSeries, train_fraction=0.8, min_len=2):
     """First floor(T * fraction) instances for training, rest for test.
 
     min_len guards both partitions; callers pass lag + 1 so every
     partition can produce at least one window.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_train_fraction(train_fraction)
     t = len(series)
     n_train = int(math.floor(t * train_fraction))
     n_test = t - n_train

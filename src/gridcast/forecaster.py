@@ -8,11 +8,16 @@ the stacked recurrent branch (L recurrent layers -> dense linear) emits
 the n phase angles. The RNN-only baseline is the same recurrent stack
 followed by a single linear head with 2n outputs.
 
+The flatten is map-major: the pooled (B, K, q) maps become (B, K*q) rows
+holding all q positions of feature map 0, then of map 1, ... So column
+k*q + j of dense1_w reads map k at pooled position j, in memory and in
+model files alike.
+
 Model files (gridcast-model-v3) are a one-line UTF-8 JSON header, one
 newline, and a raw payload, after NumPy's .npy layout. The header holds
 format_version, config, the normalizer's constant_mask and `arrays`, a list
 of [name, shape] pairs: normalizer.mean, normalizer.std, then the parameters
-in _param_shapes order. The payload is the C-ordered little-endian float64
+in param_layout order. The payload is the C-ordered little-endian float64
 bytes of those arrays, concatenated in header order with nothing after them,
 so save/load round trips are bit-exact. Loading checks the version, that
 constant_mask is a list of 2n JSON booleans, that every listed name and shape
@@ -24,7 +29,7 @@ are not read: re-train.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -73,71 +78,42 @@ class ModelConfig:
             self.dense1_width = 2 * self.n_buses
         if self.rnn_hidden is None:
             self.rnn_hidden = 2 * self.n_buses
+        if self.lag_r - self.kernel + 1 < self.pool:
+            raise ValueError(
+                f"lag {self.lag_r} too short for kernel {self.kernel} + pool {self.pool}")
         if self.n_buses < 1 or self.lag_r < 2 or self.rnn_layers < 1 or self.conv_filters < 1:
             raise ValueError(f"invalid model config: {self}")
         if self.kind not in (HYBRID, RNN_ONLY):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.lag_r - self.kernel + 1 < self.pool:
-            raise ValueError(
-                f"lag {self.lag_r} too short for kernel {self.kernel} + pool {self.pool}")
 
     @property
     def n_features(self):
         return 2 * self.n_buses
 
     @property
-    def conv_positions(self):
-        return self.lag_r - self.kernel + 1
-
-    @property
-    def pooled_positions(self):
-        return self.conv_positions // self.pool
-
-    @property
     def flat_width(self):
-        return self.conv_filters * self.pooled_positions
-
-
-def _param_shapes(cfg: ModelConfig):
-    """Ordered (name, shape) pairs; this order is the flat serialization
-    order and the weight draw order at init."""
-    d = cfg.n_features
-    shapes = []
-    if cfg.kind == HYBRID:
-        shapes += [
-            ("conv_w", (cfg.conv_filters, d, cfg.kernel)),
-            ("conv_b", (cfg.conv_filters,)),
-            ("dense1_w", (cfg.dense1_width, cfg.flat_width)),
-        ]
-        if cfg.dense1_bias:
-            shapes.append(("dense1_b", (cfg.dense1_width,)))
-        shapes += [
-            ("dense2_w", (cfg.n_buses, cfg.dense1_width)),
-            ("dense2_b", (cfg.n_buses,)),
-        ]
-    in_dim = d
-    for l in range(cfg.rnn_layers):
-        h = cfg.rnn_hidden
-        shapes += [
-            (f"rnn{l}_wx", (h, in_dim)),
-            (f"rnn{l}_wh", (h, h)),
-            (f"rnn{l}_b", (h,)),
-        ]
-        in_dim = h
-    head = cfg.n_buses if cfg.kind == HYBRID else d
-    shapes += [
-        ("dense3_w", (head, cfg.rnn_hidden)),
-        ("dense3_b", (head,)),
-    ]
-    return shapes
+        """K*q: conv_filters maps of q pooled positions each."""
+        return self.conv_filters * ((self.lag_r - self.kernel + 1) // self.pool)
 
 
 def param_layout(cfg: ModelConfig):
-    """{name: (slice, shape)} locating each parameter in the flat parameter
-    vector, which concatenates the C-ordered parameters in _param_shapes
-    order."""
+    """{name: (slice, shape)} in the one parameter order: the weight draw
+    order at init, the flat parameter vector (the C-ordered parameters
+    concatenated, each at its slice) and the model-file payload order."""
+    d, h = cfg.n_features, cfg.rnn_hidden
+    shapes = []
+    if cfg.kind == HYBRID:
+        shapes += [("conv_w", (cfg.conv_filters, d, cfg.kernel)), ("conv_b", (cfg.conv_filters,)),
+                   ("dense1_w", (cfg.dense1_width, cfg.flat_width))]
+        if cfg.dense1_bias:
+            shapes.append(("dense1_b", (cfg.dense1_width,)))
+        shapes += [("dense2_w", (cfg.n_buses, cfg.dense1_width)), ("dense2_b", (cfg.n_buses,))]
+    for l in range(cfg.rnn_layers):
+        shapes += [(f"rnn{l}_wx", (h, h if l else d)), (f"rnn{l}_wh", (h, h)), (f"rnn{l}_b", (h,))]
+    head = cfg.n_buses if cfg.kind == HYBRID else d
+    shapes += [("dense3_w", (head, h)), ("dense3_b", (head,))]
     layout, offset = {}, 0
-    for name, shape in _param_shapes(cfg):
+    for name, shape in shapes:
         size = int(np.prod(shape))
         layout[name] = (slice(offset, offset + size), shape)
         offset += size
@@ -148,11 +124,11 @@ def branch_param_names(cfg: ModelConfig, branch):
     """Names of the parameters of the "cnn" (magnitude) or "rnn" (angle)
     branch; an RNN-only model has no "cnn" parameters."""
     prefixes = {"cnn": ("conv_", "dense1_", "dense2_"), "rnn": ("rnn", "dense3_")}[branch]
-    return [n for n, _ in _param_shapes(cfg) if n.startswith(prefixes)]
+    return [n for n in param_layout(cfg) if n.startswith(prefixes)]
 
 
 def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in _param_shapes(cfg))
+    return sum(int(np.prod(shape)) for _, shape in param_layout(cfg).values())
 
 
 @dataclass
@@ -176,7 +152,7 @@ def init_model(cfg: ModelConfig, seed, normalizer=None) -> ForecastModel:
     deterministic given the seed."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in _param_shapes(cfg):
+    for name, (_, shape) in param_layout(cfg).items():
         if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
@@ -213,9 +189,9 @@ def model_forward(model: ForecastModel, x):
     if cfg.kind == HYBRID:
         conv, cache["conv"] = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
         pooled, cache["pool"] = layers.maxpool_forward(conv, cfg.pool)
-        flat, cache["flatten"] = layers.flatten_forward(pooled)
-        d1, cache["dense1"] = layers.dense_forward(
-            flat, p["dense1_w"], p.get("dense1_b"), activation="relu")
+        d1, cache["dense1"] = layers.dense_forward(  # map-major flatten
+            pooled.reshape(len(pooled), -1), p["dense1_w"], p.get("dense1_b"),
+            activation="relu")
         vm, cache["dense2"] = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
         out = np.concatenate([vm, out], axis=1)
     return out, cache
@@ -233,8 +209,8 @@ def model_backward(model: ForecastModel, cache, d_out):
     if cfg.kind == HYBRID:
         (dw2, db2), d_d1 = layers.dense_backward(cache["dense2"], d_out[:, :n])
         (dw1, db1), d_flat = layers.dense_backward(cache["dense1"], d_d1)
-        d_pooled = layers.flatten_backward(cache["flatten"], d_flat)
-        d_conv = layers.maxpool_backward(cache["pool"], d_pooled)
+        d_conv = layers.maxpool_backward(
+            cache["pool"], d_flat.reshape(len(d_flat), cfg.conv_filters, -1))
         (dcw, dcb), _ = layers.conv1d_backward(cache["conv"], d_conv)
         grads.update(conv_w=dcw, conv_b=dcb, dense1_w=dw1, dense2_w=dw2, dense2_b=db2)
         if cfg.dense1_bias:
@@ -273,7 +249,8 @@ def _file_arrays(cfg: ModelConfig):
     """(name, shape) of each array in a model file's payload, in file order:
     the normalizer's mean and std, then the parameters."""
     width = (cfg.n_features,)
-    return [("normalizer.mean", width), ("normalizer.std", width)] + _param_shapes(cfg)
+    return [("normalizer.mean", width), ("normalizer.std", width)] + [
+        (name, shape) for name, (_, shape) in param_layout(cfg).items()]
 
 
 def save_model(model: ForecastModel, path):

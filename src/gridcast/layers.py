@@ -24,8 +24,9 @@ Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
   * max pooling is non-overlapping, stride == pool width, trailing
     remainder dropped; ties resolve to the first (earliest) position
-  * flatten is map-major: all positions of feature map 0, then map 1, ...
-  * ReLU subgradient at exactly 0 is 0
+  * ReLU subgradient at exactly 0 is 0: every ReLU kernel (conv, dense,
+    RNN) runs np.maximum(pre, 0.0) forward and masks d_out * (pre > 0.0)
+    backward
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Raised when an input's dimensions do not match the layer parameters."""
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(pre, upstream):
-    # subgradient at 0 pinned to 0, hence strict inequality
-    return upstream * (pre > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +60,7 @@ def conv1d_forward(x, w, b):
     taps = (xt.reshape(b_ * r, c) @ w.transpose(2, 0, 1).reshape(kernel * k, c).T
             ).reshape(b_, r, kernel, k)
     pre = (sum(taps[:, j:j + p, j] for j in range(kernel)) + b).transpose(0, 2, 1)
-    return relu(pre), (x, w, pre)
+    return np.maximum(pre, 0.0), (x, w, pre)
 
 
 def conv1d_backward(cache, d_out):
@@ -76,7 +68,7 @@ def conv1d_backward(cache, d_out):
     b_, c, r = x.shape
     k, _, kernel = w.shape
     p = pre.shape[2]
-    d_pre = np.ascontiguousarray(relu_grad(pre, d_out).transpose(0, 2, 1)).reshape(b_ * p, k)
+    d_pre = np.ascontiguousarray((d_out * (pre > 0.0)).transpose(0, 2, 1)).reshape(b_ * p, k)
     xt = x.transpose(0, 2, 1)
     dw = np.empty_like(w)
     for j in range(kernel):
@@ -117,21 +109,6 @@ def maxpool_backward(cache, d_out):
 
 
 # ---------------------------------------------------------------------------
-# flatten
-# ---------------------------------------------------------------------------
-
-def flatten_forward(x):
-    """x: (B, K, q) -> (B, K*q) in map-major order."""
-    b_, k_, q = x.shape
-    return x.reshape(b_, k_ * q), (k_, q)
-
-
-def flatten_backward(cache, d_out):
-    k_, q = cache
-    return d_out.reshape(d_out.shape[0], k_, q)
-
-
-# ---------------------------------------------------------------------------
 # dense
 # ---------------------------------------------------------------------------
 
@@ -146,13 +123,13 @@ def dense_forward(x, w, b, activation="linear"):
     pre = x @ w.T
     if b is not None:
         pre = pre + b
-    out = relu(pre) if activation == "relu" else pre
+    out = np.maximum(pre, 0.0) if activation == "relu" else pre
     return out, (x, w, pre, activation, b is not None)
 
 
 def dense_backward(cache, d_out):
     x, w, pre, activation, has_bias = cache
-    d_pre = relu_grad(pre, d_out) if activation == "relu" else d_out
+    d_pre = d_out * (pre > 0.0) if activation == "relu" else d_out
     dw = d_pre.T @ x
     db = d_pre.sum(axis=0) if has_bias else None
     dx = d_pre @ w

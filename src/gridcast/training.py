@@ -6,9 +6,9 @@ normalized units, unweighted; a batch averages the per-sample losses.
 Training is fully deterministic given (data, hyperparameters, seed).
 
 `train` packs the parameters once into one contiguous float64 vector
-theta, in `_param_shapes` order; the working model's params are reshaped
-views into it. Each batch's gradients are concatenated into one flat
-buffer g of the same layout (a frozen branch is a zeroed slice), and
+theta, in `forecaster.param_layout` order; the working model's params are
+reshaped views into it. Each batch's gradients are concatenated into one
+flat buffer g of the same layout (a frozen branch is a zeroed slice), and
 `adam_step` updates theta and the flat Adam moments in place with
 preallocated scratch, in the same operation order as the textbook formula,
 one cache-sized block of the vectors at a time.
@@ -16,7 +16,7 @@ one cache-sized block of the vectors at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -52,27 +52,22 @@ class Hyperparams:
     def __post_init__(self):
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must lie in (0, 1)")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
+        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
             raise ValueError("invalid hyperparameters")
         if self.freeze_branch not in (None, "cnn", "rnn"):
             raise ValueError(f"freeze_branch must be cnn/rnn, got {self.freeze_branch!r}")
 
 
-@dataclass
 class AdamState:
-    """Flat first and second moments and the step count; `adam_step`
-    updates them in place."""
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    """Flat first and second moments of a `size`-element parameter vector,
+    zero at the start, and the step count; `adam_step` updates them in
+    place."""
 
-    def __post_init__(self):
-        self._scratch = np.empty((2, min(self.m.size, ADAM_BLOCK)))
-
-    @classmethod
-    def zeros(cls, size):
-        return cls(np.zeros(size), np.zeros(size))
+    def __init__(self, size):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self._scratch = np.empty((2, min(size, ADAM_BLOCK)))
 
 
 @dataclass
@@ -173,7 +168,7 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
     work = ForecastModel(cfg, {k: theta[s].reshape(shape) for k, (s, shape) in layout.items()},
                          model.normalizer)
     g = np.empty_like(theta)
-    state = AdamState.zeros(theta.size)
+    state = AdamState(theta.size)
     rng = np.random.default_rng(hp.seed)
     n = len(x)
     epoch_losses = []

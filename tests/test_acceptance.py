@@ -64,12 +64,6 @@ def _layer_gradcheck(seed):
     _probe_check(lambda: layers.maxpool_forward(x, 2),
                  lambda c, p: (layers.maxpool_backward(c, p),),
                  (x,), probe)
-    # flatten
-    x = g.normal(size=(2, 3, 4))
-    probe = g.normal(size=(2, 12))
-    _probe_check(lambda: layers.flatten_forward(x),
-                 lambda c, p: (layers.flatten_backward(c, p),),
-                 (x,), probe)
     # dense, both activations
     for act in ("relu", "linear"):
         x = g.normal(size=(3, 4))
@@ -151,7 +145,7 @@ def test_criterion_2_shape_oracle_reference_scale():
     assert conv.shape == (1, 118, 9)
     pooled, _ = layers.maxpool_forward(conv, 2)
     assert pooled.shape == (1, 118, 4)
-    flat, _ = layers.flatten_forward(pooled)
+    flat = pooled.reshape(1, -1)
     assert flat.shape == (1, 472)
     d1, _ = layers.dense_forward(flat, model.params["dense1_w"],
                                  model.params["dense1_b"], "relu")

@@ -65,6 +65,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--lr", "-1"], "--lr"),
+    (["train", "--epochs", "-1"], "--epochs"),
+    (["train", "--lag", "1"], "--lag"),
+    (["train", "--train-fraction", "1.5"], "--train-fraction"),
+    (["train", "--seed", "-1"], "--seed"),
+    (["gen-data", "--buses", "0"], None),
+    (["gen-data", "--period", "1"], None),
+], ids=["train-lr", "train-epochs", "train-lag", "train-fraction", "train-seed",
+        "gen-data-buses", "gen-data-period"])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    """An out-of-range value is a usage error (exit 2); train names the flag
+    and reports it before reading the data file (here it does not exist)."""
+    io = {"train": ["--data", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")],
+          "gen-data": ["--out", str(tmp_path / "g.csv")]}[argv[0]]
+    assert main(argv + io) == 2
+    if flag:
+        assert f"error: {flag} " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -289,10 +310,11 @@ def rnn_model_file(tmp_path_factory, dataset):
     (None, ["--compare", "arima", "--epochs", "3"]),
     (None, ["--epochs", "3"]),
     (None, ["--runs", "0"]),
+    (None, ["--runs", "2", "--batch", "0"]),
     ("rnn-only", ["--compare", "rnn-only"]),
     ("rnn-only", ["--runs", "2", "--epochs", "1", "--freeze-branch", "cnn"]),
-], ids=["unknown-compare", "flag-without-retraining", "zero-runs", "rnn-only-vs-rnn-only",
-        "freeze-missing-branch"])
+], ids=["unknown-compare", "flag-without-retraining", "zero-runs", "out-of-range-batch",
+        "rnn-only-vs-rnn-only", "freeze-missing-branch"])
 def test_eval_usage_error_precedes_loading(tmp_path, rnn_model_file, model, flags):
     """Flag checks run before any load; checks on the model's kind run
     before the data file is read (here it does not exist)."""

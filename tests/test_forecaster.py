@@ -14,9 +14,9 @@ from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, ModelParseError,
                                  ModelShapeError, ModelVersionError,
-                                 _param_shapes, branch_param_names, forecast_batch,
-                                 forecast_next, init_model, load_model, model_forward,
-                                 param_count, save_model)
+                                 branch_param_names, forecast_batch, forecast_next,
+                                 init_model, load_model, model_backward, model_forward,
+                                 param_count, param_layout, save_model)
 
 from conftest import rnn_cell_step
 
@@ -53,7 +53,7 @@ def test_default_widths_follow_bus_count():
     assert cfg.dense1_width == 236
     assert cfg.rnn_hidden == 236
     assert cfg.rnn_layers == 3
-    assert (cfg.conv_positions, cfg.pooled_positions, cfg.flat_width) == (9, 4, 472)
+    assert cfg.flat_width == 472  # 118 maps x 4 pooled positions
 
 
 def test_param_count_default_conv_total():
@@ -68,7 +68,7 @@ def test_param_count_default_conv_total():
 
 def test_param_count_hand_tiny():
     cfg = ModelConfig(n_buses=1, lag_r=2, conv_filters=1, pool=1)
-    shapes = dict(_param_shapes(cfg))
+    shapes = {name: shape for name, (_, shape) in param_layout(cfg).items()}
     assert int(np.prod(shapes["conv_w"])) + int(np.prod(shapes["conv_b"])) == 5
 
 
@@ -114,7 +114,7 @@ def test_init_deterministic_per_seed():
 def test_init_weights_within_documented_bound():
     cfg = ModelConfig(n_buses=3, lag_r=6)
     model = init_model(cfg, 1)
-    for name, shape in _param_shapes(cfg):
+    for name, (_, shape) in param_layout(cfg).items():
         p = model.params[name]
         if len(shape) == 1:
             npt.assert_array_equal(p, np.zeros(shape))
@@ -159,10 +159,41 @@ def test_cnn_branch_matches_manual_composition(rng):
     out = cnn_branch_forward(model, window)
     conv, _ = layers.conv1d_forward(window[None], p["conv_w"], p["conv_b"])
     pooled, _ = layers.maxpool_forward(conv, 2)
-    flat, _ = layers.flatten_forward(pooled)
-    d1, _ = layers.dense_forward(flat, p["dense1_w"], p["dense1_b"], "relu")
+    d1, _ = layers.dense_forward(pooled.reshape(1, -1), p["dense1_w"], p["dense1_b"], "relu")
     d2, _ = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
     npt.assert_array_equal(out, d2[0])
+
+
+def test_flatten_is_map_major_forward_and_backward(rng):
+    """Column k * q + j of dense1_w reads pooled map k at position j, and its
+    gradient flows back to that same position. With q = 2 a position-major
+    order would read (and send gradient to) other positions."""
+    model = tiny_model(3, lag_r=6)  # 5 conv positions pool to q = 2
+    p, n = model.params, model.config.n_buses
+    x = rng.normal(size=(2, 4, 6))
+    out, cache = model_forward(model, x)
+    d_out = rng.normal(size=out.shape)
+    grads = model_backward(model, cache, d_out)
+
+    conv, conv_cache = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
+    pooled, pool_cache = layers.maxpool_forward(conv, 2)
+    k, q = pooled.shape[1:]
+    assert q == 2
+    columns = [(f, j) for f in range(k) for j in range(q)]
+    flat = np.stack([pooled[:, f, j] for f, j in columns], axis=1)
+    d1, d1_cache = layers.dense_forward(flat, p["dense1_w"], p["dense1_b"], "relu")
+    vm, d2_cache = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
+    npt.assert_allclose(out[:, :n], vm, rtol=0, atol=1e-12)
+
+    _, d_d1 = layers.dense_backward(d2_cache, d_out[:, :n])
+    _, d_flat = layers.dense_backward(d1_cache, d_d1)
+    d_pooled = np.empty_like(pooled)
+    for col, (f, j) in enumerate(columns):
+        d_pooled[:, f, j] = d_flat[:, col]
+    (dcw, dcb), _ = layers.conv1d_backward(
+        conv_cache, layers.maxpool_backward(pool_cache, d_pooled))
+    npt.assert_allclose(grads["conv_w"], dcw, rtol=0, atol=1e-12)
+    npt.assert_allclose(grads["conv_b"], dcb, rtol=0, atol=1e-12)
 
 
 def test_rnn_branch_matches_unrolled_chain(rng):
@@ -434,12 +465,9 @@ TINY_VALUES = param_count(ModelConfig(**TINY)) + 4  # every parameter, then the 
 def _filled_model(values):
     model = tiny_model()
     values = np.asarray(values, dtype=float)
-    offset = 0
-    for name, shape in _param_shapes(model.config):
-        size = int(np.prod(shape))
-        model.params[name] = values[offset:offset + size].reshape(shape)
-        offset += size
-    model.normalizer = Normalizer(values[offset:], np.ones(4))
+    for name, (s, shape) in param_layout(model.config).items():
+        model.params[name] = values[s].reshape(shape)
+    model.normalizer = Normalizer(values[param_count(model.config):], np.ones(4))
     return model
 
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from gridcast import layers
 from gridcast.data_pipeline import StateSeries, build_windows
 from gridcast.layers import (ShapeError, conv1d_backward, conv1d_forward,
-                             dense_backward, dense_forward, flatten_backward,
-                             flatten_forward, maxpool_backward,
-                             maxpool_forward, relu, stacked_rnn_backward,
+                             dense_backward, dense_forward, maxpool_backward,
+                             maxpool_forward, stacked_rnn_backward,
                              stacked_rnn_forward)
 
 from conftest import (central_diff, oracle_conv1d_backward, oracle_conv1d_forward,
@@ -18,16 +17,40 @@ from conftest import (central_diff, oracle_conv1d_backward, oracle_conv1d_forwar
 
 
 # ---------------------------------------------------------------------------
-# relu
+# relu, as each ReLU kernel applies it
 # ---------------------------------------------------------------------------
 
 def test_relu_sign_boundaries():
-    npt.assert_array_equal(relu(np.array([-1.0, 0.0, 2.5])), [0.0, 0.0, 2.5])
+    # a one-tap identity filter makes the conv pre-activation the input row
+    out, _ = conv1d_forward(np.array([[[-1.0, 0.0, 2.5]]]), np.ones((1, 1, 1)), np.zeros(1))
+    npt.assert_array_equal(out, [[[0.0, 0.0, 2.5]]])
 
 
 def test_relu_fixed_point_and_identity():
-    npt.assert_array_equal(relu(np.zeros(5)), np.zeros(5))
-    npt.assert_array_equal(relu(np.array([3.0])), [3.0])
+    out, _ = dense_forward(np.zeros((1, 5)), np.eye(5), None, activation="relu")
+    npt.assert_array_equal(out, np.zeros((1, 5)))
+    out, _ = dense_forward(np.array([[3.0]]), np.eye(1), None, activation="relu")
+    npt.assert_array_equal(out, [[3.0]])
+
+
+@pytest.mark.parametrize("kernel", ["conv", "dense", "rnn"])
+def test_relu_subgradient_at_zero_is_zero(rng, kernel):
+    """Zero weights and biases put every pre-activation at exactly 0, so no
+    gradient passes any ReLU: every parameter and input gradient is 0."""
+    if kernel == "conv":
+        _, cache = conv1d_forward(rng.normal(size=(2, 4, 5)), np.zeros((3, 4, 2)), np.zeros(3))
+        grads, dx = conv1d_backward(cache, np.ones((2, 3, 4)))
+    elif kernel == "dense":
+        _, cache = dense_forward(rng.normal(size=(2, 3)), np.zeros((2, 3)), np.zeros(2), "relu")
+        grads, dx = dense_backward(cache, np.ones((2, 2)))
+    else:
+        zero = [(np.zeros((3, 4)), np.zeros((3, 3)), np.zeros(3)),
+                (np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3))]
+        _, cache = stacked_rnn_forward(rng.normal(size=(2, 4, 5)), zero)
+        layer_grads, dx = stacked_rnn_backward(cache, np.ones((2, 3)))
+        grads = [g for layer in layer_grads for g in layer]
+    for g in [*grads, dx]:
+        npt.assert_array_equal(g, np.zeros_like(g))
 
 
 # ---------------------------------------------------------------------------
@@ -147,33 +170,6 @@ def test_maxpool_gradients_match_finite_differences(rng):
             return float(np.sum(maxpool_forward(x, 2)[0] * probe))
 
         assert rel_err(dx, central_diff(loss, x)) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# flatten
-# ---------------------------------------------------------------------------
-
-def test_flatten_examples():
-    out, _ = flatten_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    npt.assert_array_equal(out, [[1.0, 2.0, 3.0, 4.0]])
-    out, _ = flatten_forward(np.array([[[7.0]]]))
-    npt.assert_array_equal(out, [[7.0]])
-    out, _ = flatten_forward(np.zeros((1, 118, 4)))
-    assert out.shape == (1, 472)
-
-
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
-@settings(max_examples=50)
-def test_flatten_is_a_bijection(k, q, seed):
-    m = np.random.default_rng(seed).normal(size=(k, q))
-    flat, cache = flatten_forward(m[None])
-    npt.assert_array_equal(flatten_backward(cache, flat)[0], m)
-
-
-def test_flatten_backward_is_inverse(rng):
-    x = rng.normal(size=(2, 3, 4))
-    out, cache = flatten_forward(x)
-    npt.assert_array_equal(flatten_backward(cache, out), x)
 
 
 # ---------------------------------------------------------------------------

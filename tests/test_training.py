@@ -79,7 +79,7 @@ def test_joint_loss_bit_identical_to_oracle(b, n, seed, scale):
 def test_adam_zero_gradient_is_noop():
     theta = np.array([1.0, -2.0])
     before = theta.copy()
-    state = AdamState.zeros(theta.size)
+    state = AdamState(theta.size)
     hp = Hyperparams()
     adam_step(theta, np.zeros(2), state, hp)
     npt.assert_array_equal(theta, before)
@@ -91,7 +91,7 @@ def test_adam_first_step_magnitude():
     g = 0.37
     hp = Hyperparams(learning_rate=1e-3)
     theta = np.array([2.0])
-    state = AdamState.zeros(theta.size)
+    state = AdamState(theta.size)
     adam_step(theta, np.array([g]), state, hp)
     step = 2.0 - theta[0]
     assert step == pytest.approx(hp.learning_rate * g / (abs(g) + hp.epsilon), rel=1e-9)
@@ -100,7 +100,7 @@ def test_adam_first_step_magnitude():
 def test_adam_deterministic():
     theta = np.array([1.0, 2.0])
     grads = np.array([0.5, -0.5])
-    state = AdamState.zeros(theta.size)
+    state = AdamState(theta.size)
     hp = Hyperparams()
     a, sa = theta.copy(), copy.deepcopy(state)
     adam_step(a, grads, sa, hp)
@@ -112,7 +112,7 @@ def test_adam_deterministic():
 
 def test_adam_rejects_shape_mismatch():
     theta = np.zeros(2)
-    state = AdamState.zeros(theta.size)
+    state = AdamState(theta.size)
     with pytest.raises(ValueError):
         adam_step(theta, np.zeros(3), state, Hyperparams())
     assert state.t == 0
@@ -133,7 +133,7 @@ def test_adam_step_bit_identical_to_oracle(rows, steps, block):
     theta = values[0].copy()
     params, m, v = {"w": values[0].copy()}, {"w": np.zeros(n)}, {"w": np.zeros(n)}
     with mock.patch.object(training, "ADAM_BLOCK", block):
-        state = AdamState.zeros(n)
+        state = AdamState(n)
         for t in range(1, steps + 1):
             g = values[1 + (t - 1) % 3]
             adam_step(theta, g, state, hp)
