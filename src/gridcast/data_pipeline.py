@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,23 +72,15 @@ class StateSeries:
 
 @dataclass
 class Normalizer:
-    """Per-feature z-scoring statistics, fitted on training data only.
-
-    Features with zero variance get std forced to 1 and are flagged in
-    constant_mask so reports can mention them.
-    """
+    """Per-feature z-scoring statistics (mean, std), fitted on training
+    data only; a feature with zero variance gets std 1, so it maps to 0."""
 
     mean: np.ndarray
     std: np.ndarray
-    constant_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.std = np.asarray(self.std, dtype=float)
-        if self.constant_mask is None:
-            self.constant_mask = np.zeros(self.mean.shape, dtype=bool)
-        else:
-            self.constant_mask = np.asarray(self.constant_mask, dtype=bool)
         if not (self.std > 0).all():
             raise ValueError("normalizer std must be positive")
 
@@ -123,9 +115,7 @@ def fit_normalizer(train: StateSeries) -> Normalizer:
         raise ValueError("cannot fit a normalizer on an empty series")
     mean = train.values.mean(axis=0)
     std = train.values.std(axis=0)
-    constant = std == 0.0
-    std = np.where(constant, 1.0, std)
-    return Normalizer(mean, std, constant)
+    return Normalizer(mean, np.where(std == 0.0, 1.0, std))
 
 
 def check_train_fraction(train_fraction):
@@ -276,8 +266,12 @@ class SyntheticConfig:
             raise ValueError("length must be >= 2")
         if self.period < 2:
             raise ValueError("period must be >= 2")
-        if self.noise_std_magnitude < 0 or self.noise_std_angle < 0:
-            raise ValueError("noise std must be >= 0")
+        if not (0 <= self.noise_std_magnitude < math.inf and 0 <= self.noise_std_angle < math.inf):
+            raise ValueError("noise std must be finite and >= 0")
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic_series(cfg: SyntheticConfig) -> StateSeries:

@@ -6,24 +6,25 @@ normalized states. The convolutional branch (conv -> relu -> maxpool ->
 flatten -> dense relu -> dense linear) emits the n voltage magnitudes;
 the stacked recurrent branch (L recurrent layers -> dense linear) emits
 the n phase angles. The RNN-only baseline is the same recurrent stack
-followed by a single linear head with 2n outputs.
+followed by a single linear head with 2n outputs. The CNN branch is the
+paper's fixed design: conv kernel KERNEL = 2, max pool POOL = 2, and every
+dense layer has a bias.
 
 The flatten is map-major: the pooled (B, K, q) maps become (B, K*q) rows
 holding all q positions of feature map 0, then of map 1, ... So column
 k*q + j of dense1_w reads map k at pooled position j, in memory and in
 model files alike.
 
-Model files (gridcast-model-v3) are a one-line UTF-8 JSON header, one
+Model files (gridcast-model-v4) are a one-line UTF-8 JSON header, one
 newline, and a raw payload, after NumPy's .npy layout. The header holds
-format_version, config, the normalizer's constant_mask and `arrays`, a list
-of [name, shape] pairs: normalizer.mean, normalizer.std, then the parameters
-in param_layout order. The payload is the C-ordered little-endian float64
-bytes of those arrays, concatenated in header order with nothing after them,
-so save/load round trips are bit-exact. Loading checks the version, that
-constant_mask is a list of 2n JSON booleans, that every listed name and shape
-is the expected one, that the payload is exactly 8 bytes per listed element,
-and that every value is finite. v1 and v2 files (one indented JSON document)
-are not read: re-train.
+format_version, config and `arrays`, a list of [name, shape] pairs:
+normalizer.mean, normalizer.std, then the parameters in param_layout
+order. The payload is the C-ordered little-endian float64 bytes of those
+arrays, concatenated in header order with nothing after them, so
+save/load round trips are bit-exact. Loading checks the version, that
+every listed name and shape is the expected one, that the payload is
+exactly 8 bytes per listed element, and that every value is finite.
+Files of an older format version (v1-v3) are not read: re-train.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ import numpy as np
 from . import layers
 from .data_pipeline import Normalizer, atomic_write
 
-MODEL_FORMAT_VERSION = "gridcast-model-v3"
+MODEL_FORMAT_VERSION = "gridcast-model-v4"
+KERNEL = 2  # conv width: adjacent column pairs
+POOL = 2  # max-pool width and stride
 
 HYBRID = "hybrid"
 RNN_ONLY = "rnn-only"
@@ -64,12 +67,9 @@ class ModelConfig:
     lag_r: int = 10
     kind: str = HYBRID
     conv_filters: int = None
-    kernel: int = 2
-    pool: int = 2
     dense1_width: int = None
     rnn_layers: int = 3
     rnn_hidden: int = None
-    dense1_bias: bool = True
 
     def __post_init__(self):
         if self.conv_filters is None:
@@ -78,10 +78,10 @@ class ModelConfig:
             self.dense1_width = 2 * self.n_buses
         if self.rnn_hidden is None:
             self.rnn_hidden = 2 * self.n_buses
-        if self.lag_r - self.kernel + 1 < self.pool:
-            raise ValueError(
-                f"lag {self.lag_r} too short for kernel {self.kernel} + pool {self.pool}")
-        if self.n_buses < 1 or self.lag_r < 2 or self.rnn_layers < 1 or self.conv_filters < 1:
+        if self.lag_r - KERNEL + 1 < POOL:
+            raise ValueError(f"lag {self.lag_r} too short for kernel {KERNEL} + pool {POOL}")
+        if min(self.n_buses, self.conv_filters, self.dense1_width, self.rnn_layers,
+               self.rnn_hidden) < 1:
             raise ValueError(f"invalid model config: {self}")
         if self.kind not in (HYBRID, RNN_ONLY):
             raise ValueError(f"unknown model kind {self.kind!r}")
@@ -93,7 +93,7 @@ class ModelConfig:
     @property
     def flat_width(self):
         """K*q: conv_filters maps of q pooled positions each."""
-        return self.conv_filters * ((self.lag_r - self.kernel + 1) // self.pool)
+        return self.conv_filters * ((self.lag_r - KERNEL + 1) // POOL)
 
 
 def param_layout(cfg: ModelConfig):
@@ -103,11 +103,10 @@ def param_layout(cfg: ModelConfig):
     d, h = cfg.n_features, cfg.rnn_hidden
     shapes = []
     if cfg.kind == HYBRID:
-        shapes += [("conv_w", (cfg.conv_filters, d, cfg.kernel)), ("conv_b", (cfg.conv_filters,)),
-                   ("dense1_w", (cfg.dense1_width, cfg.flat_width))]
-        if cfg.dense1_bias:
-            shapes.append(("dense1_b", (cfg.dense1_width,)))
-        shapes += [("dense2_w", (cfg.n_buses, cfg.dense1_width)), ("dense2_b", (cfg.n_buses,))]
+        shapes += [("conv_w", (cfg.conv_filters, d, KERNEL)), ("conv_b", (cfg.conv_filters,)),
+                   ("dense1_w", (cfg.dense1_width, cfg.flat_width)),
+                   ("dense1_b", (cfg.dense1_width,)),
+                   ("dense2_w", (cfg.n_buses, cfg.dense1_width)), ("dense2_b", (cfg.n_buses,))]
     for l in range(cfg.rnn_layers):
         shapes += [(f"rnn{l}_wx", (h, h if l else d)), (f"rnn{l}_wh", (h, h)), (f"rnn{l}_b", (h,))]
     head = cfg.n_buses if cfg.kind == HYBRID else d
@@ -140,8 +139,8 @@ class ForecastModel:
 
 def _init_bound(name, shape, cfg):
     if name == "conv_w":
-        fan_in = cfg.n_features * cfg.kernel
-        fan_out = cfg.conv_filters * cfg.kernel
+        fan_in = cfg.n_features * KERNEL
+        fan_out = cfg.conv_filters * KERNEL
     else:
         fan_out, fan_in = shape
     return np.sqrt(6.0 / (fan_in + fan_out))
@@ -188,10 +187,9 @@ def model_forward(model: ForecastModel, x):
     out, cache["dense3"] = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
     if cfg.kind == HYBRID:
         conv, cache["conv"] = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
-        pooled, cache["pool"] = layers.maxpool_forward(conv, cfg.pool)
+        pooled, cache["pool"] = layers.maxpool_forward(conv)
         d1, cache["dense1"] = layers.dense_forward(  # map-major flatten
-            pooled.reshape(len(pooled), -1), p["dense1_w"], p.get("dense1_b"),
-            activation="relu")
+            pooled.reshape(len(pooled), -1), p["dense1_w"], p["dense1_b"], activation="relu")
         vm, cache["dense2"] = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
         out = np.concatenate([vm, out], axis=1)
     return out, cache
@@ -212,9 +210,8 @@ def model_backward(model: ForecastModel, cache, d_out):
         d_conv = layers.maxpool_backward(
             cache["pool"], d_flat.reshape(len(d_flat), cfg.conv_filters, -1))
         (dcw, dcb), _ = layers.conv1d_backward(cache["conv"], d_conv)
-        grads.update(conv_w=dcw, conv_b=dcb, dense1_w=dw1, dense2_w=dw2, dense2_b=db2)
-        if cfg.dense1_bias:
-            grads["dense1_b"] = db1
+        grads.update(conv_w=dcw, conv_b=dcb, dense1_w=dw1, dense1_b=db1,
+                     dense2_w=dw2, dense2_b=db2)
     for l, (dwx, dwh, db) in enumerate(rnn_grads):
         grads[f"rnn{l}_wx"] = dwx
         grads[f"rnn{l}_wh"] = dwh
@@ -261,7 +258,6 @@ def save_model(model: ForecastModel, path):
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(cfg),
-        "constant_mask": [bool(b) for b in model.normalizer.constant_mask],
         "arrays": [[name, list(np.shape(arrays[name]))] for name in order],
     }
     with atomic_write(path, "wb") as fh:
@@ -297,16 +293,6 @@ def load_model(path) -> ForecastModel:
             raise ModelParseError(f"{path}: no one-line header followed by a newline")
         try:
             cfg = ModelConfig(**header["config"])
-            mask = header["constant_mask"]
-            if not isinstance(mask, list):
-                raise ModelParseError(f"normalizer constant_mask: expected a list, got {mask!r}")
-            for i, entry in enumerate(mask):
-                if not isinstance(entry, bool):
-                    raise ModelParseError(
-                        f"normalizer constant_mask[{i}]: {entry!r} is not true or false")
-            if len(mask) != cfg.n_features:
-                raise ModelShapeError(
-                    f"normalizer constant_mask: length {len(mask)} != {cfg.n_features}")
             expected = [[name, list(shape)] for name, shape in _file_arrays(cfg)]
             listed = header["arrays"]
             if not isinstance(listed, list) or len(listed) != len(expected):
@@ -327,8 +313,7 @@ def load_model(path) -> ForecastModel:
                 arrays[name] = values.astype(np.float64, copy=False)
             if fh.read(1):
                 raise ModelShapeError("payload: bytes after the last listed array")
-            norm = Normalizer(arrays.pop("normalizer.mean"), arrays.pop("normalizer.std"),
-                              np.array(mask, dtype=bool))
+            norm = Normalizer(arrays.pop("normalizer.mean"), arrays.pop("normalizer.std"))
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

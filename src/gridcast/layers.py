@@ -22,8 +22,9 @@ memory layout (C-ordered, or the time-major one of `build_windows` and
 
 Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
-  * max pooling is non-overlapping, stride == pool width, trailing
-    remainder dropped; ties resolve to the first (earliest) position
+  * max pooling takes the max of each non-overlapping column pair, an odd
+    last column dropped; a tie resolves to the first (earliest) column
+  * every dense layer has a bias
   * ReLU subgradient at exactly 0 is 0: every ReLU kernel (conv, dense,
     RNN) runs np.maximum(pre, 0.0) forward and masks d_out * (pre > 0.0)
     backward
@@ -85,26 +86,23 @@ def conv1d_backward(cache, d_out):
 # max pooling
 # ---------------------------------------------------------------------------
 
-def maxpool_forward(x, pool=2):
-    """x: (B, K, m) -> out (B, K, m // pool), cache. Remainder columns dropped."""
+def maxpool_forward(x):
+    """x: (B, K, m) -> out (B, K, m // 2), cache. Pairs columns (0, 1),
+    (2, 3), ...; an odd last column is dropped."""
     b_, k_, m = x.shape
-    if m < pool:
-        raise ShapeError(f"cannot pool width {m} with pool size {pool}")
-    q = m // pool
-    tiles = x[:, :, :q * pool].reshape(b_, k_, q, pool)
-    arg = tiles.argmax(axis=3)
-    out = np.take_along_axis(tiles, arg[..., None], axis=3)[..., 0]
-    return out, (x.shape, pool, arg)
+    if m < 2:
+        raise ShapeError(f"cannot pool width {m} in pairs")
+    first, last = x[:, :, 0:m - 1:2], x[:, :, 1:m:2]
+    second = last > first  # a tie keeps the first column
+    return np.where(second, last, first), (x.shape, second)
 
 
 def maxpool_backward(cache, d_out):
-    shape, pool, arg = cache
-    b_, k_, m = shape
-    q = arg.shape[2]
-    tiles = np.zeros((b_, k_, q, pool))
-    np.put_along_axis(tiles, arg[..., None], d_out[..., None], axis=3)
+    shape, second = cache
+    m = shape[2]
     dx = np.zeros(shape)
-    dx[:, :, :q * pool] = tiles.reshape(b_, k_, q * pool)
+    dx[:, :, 0:m - 1:2] = np.where(second, 0.0, d_out)
+    dx[:, :, 1:m:2] = np.where(second, d_out, 0.0)
     return dx
 
 
@@ -113,25 +111,23 @@ def maxpool_backward(cache, d_out):
 # ---------------------------------------------------------------------------
 
 def dense_forward(x, w, b, activation="linear"):
-    """x: (B, in); w: (out, in); b: (out,) or None -> (B, out), cache."""
+    """x: (B, in); w: (out, in); b: (out,) -> (B, out), cache."""
     if activation not in ("linear", "relu"):
         raise ValueError(f"unknown activation {activation!r}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"input width {x.shape[1]} != weight cols {w.shape[1]}")
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
-    pre = x @ w.T
-    if b is not None:
-        pre = pre + b
+    pre = x @ w.T + b
     out = np.maximum(pre, 0.0) if activation == "relu" else pre
-    return out, (x, w, pre, activation, b is not None)
+    return out, (x, w, pre, activation)
 
 
 def dense_backward(cache, d_out):
-    x, w, pre, activation, has_bias = cache
+    x, w, pre, activation = cache
     d_pre = d_out * (pre > 0.0) if activation == "relu" else d_out
     dw = d_pre.T @ x
-    db = d_pre.sum(axis=0) if has_bias else None
+    db = d_pre.sum(axis=0)
     dx = d_pre @ w
     return (dw, db), dx
 

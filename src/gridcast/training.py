@@ -16,6 +16,7 @@ one cache-sized block of the vectors at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -52,7 +53,9 @@ class Hyperparams:
     def __post_init__(self):
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must lie in (0, 1)")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
             raise ValueError("invalid hyperparameters")
         if self.freeze_branch not in (None, "cnn", "rnn"):
             raise ValueError(f"freeze_branch must be cnn/rnn, got {self.freeze_branch!r}")

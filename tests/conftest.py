@@ -90,6 +90,29 @@ def oracle_conv1d_backward(x, w, pre, d_out):
     return (dw, db), dx
 
 
+def oracle_maxpool_forward(x):
+    """Reference max pool over non-overlapping tiles of 2 columns,
+    remainder dropped, by argmax (ties to the first column) and
+    take_along_axis. Returns (out, arg)."""
+    b_, k_, m = x.shape
+    pool = 2
+    q = m // pool
+    tiles = x[:, :, :q * pool].reshape(b_, k_, q, pool)
+    arg = tiles.argmax(axis=3)
+    return np.take_along_axis(tiles, arg[..., None], axis=3)[..., 0], arg
+
+
+def oracle_maxpool_backward(shape, arg, d_out):
+    """Reference pool backward: each d_out entry put at its tile's argmax."""
+    b_, k_, m = shape
+    q, pool = arg.shape[2], 2
+    tiles = np.zeros((b_, k_, q, pool))
+    np.put_along_axis(tiles, arg[..., None], d_out[..., None], axis=3)
+    dx = np.zeros(shape)
+    dx[:, :, :q * pool] = tiles.reshape(b_, k_, q * pool)
+    return dx
+
+
 def oracle_stacked_rnn_forward(x, layer_params):
     """Reference stacked RNN: every sample, step and layer through
     rnn_cell_step. Returns (top state (B, H), hidden) where hidden[l][t]

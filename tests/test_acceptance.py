@@ -61,7 +61,7 @@ def _layer_gradcheck(seed):
     # maxpool
     x = g.normal(size=(2, 3, 7))
     probe = g.normal(size=(2, 3, 3))
-    _probe_check(lambda: layers.maxpool_forward(x, 2),
+    _probe_check(lambda: layers.maxpool_forward(x),
                  lambda c, p: (layers.maxpool_backward(c, p),),
                  (x,), probe)
     # dense, both activations
@@ -143,7 +143,7 @@ def test_criterion_2_shape_oracle_reference_scale():
     x = np.random.default_rng(0).normal(size=(1, 236, 10))
     conv, _ = layers.conv1d_forward(x, model.params["conv_w"], model.params["conv_b"])
     assert conv.shape == (1, 118, 9)
-    pooled, _ = layers.maxpool_forward(conv, 2)
+    pooled, _ = layers.maxpool_forward(conv)
     assert pooled.shape == (1, 118, 4)
     flat = pooled.reshape(1, -1)
     assert flat.shape == (1, 472)
@@ -181,7 +181,6 @@ def test_criterion_3_param_count_oracle():
             dense1_width=int(rng.integers(1, 12)),
             rnn_layers=int(rng.integers(1, 5)),
             rnn_hidden=int(rng.integers(1, 12)),
-            dense1_bias=bool(rng.integers(0, 2)),
             kind=forecaster.HYBRID if rng.integers(0, 2) else forecaster.RNN_ONLY,
         )
         enumerated = sum(p.size for p in init_model(cfg, 0).params.values())

@@ -71,14 +71,24 @@ def test_usage_error_exit_code():
     (["train", "--lag", "1"], "--lag"),
     (["train", "--train-fraction", "1.5"], "--train-fraction"),
     (["train", "--seed", "-1"], "--seed"),
+    (["train", "--lr", "nan"], "--lr"),
+    (["train", "--lr", "inf"], "--lr"),
+    (["eval", "--runs", "2", "--lr", "nan"], "--lr"),
     (["gen-data", "--buses", "0"], None),
     (["gen-data", "--period", "1"], None),
+    (["gen-data", "--seed", "-1"], None),
+    (["gen-data", "--noise", "nan"], None),
+    (["gen-data", "--angle-noise", "inf"], None),
+    (["gen-data", "--coupling", "inf"], None),
 ], ids=["train-lr", "train-epochs", "train-lag", "train-fraction", "train-seed",
-        "gen-data-buses", "gen-data-period"])
+        "train-lr-nan", "train-lr-inf", "eval-lr-nan", "gen-data-buses", "gen-data-period",
+        "gen-data-seed", "gen-data-noise-nan", "gen-data-angle-noise-inf",
+        "gen-data-coupling-inf"])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
-    """An out-of-range value is a usage error (exit 2); train names the flag
-    and reports it before reading the data file (here it does not exist)."""
+    """An out-of-range value is a usage error (exit 2); train and eval name
+    the flag and report it before reading any file (here none exists)."""
     io = {"train": ["--data", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")],
+          "eval": ["--data", str(tmp_path / "nope.csv"), "--model", str(tmp_path / "m")],
           "gen-data": ["--out", str(tmp_path / "g.csv")]}[argv[0]]
     assert main(argv + io) == 2
     if flag:

@@ -67,7 +67,7 @@ def test_param_count_default_conv_total():
 
 
 def test_param_count_hand_tiny():
-    cfg = ModelConfig(n_buses=1, lag_r=2, conv_filters=1, pool=1)
+    cfg = ModelConfig(n_buses=1, lag_r=3, conv_filters=1)
     shapes = {name: shape for name, (_, shape) in param_layout(cfg).items()}
     assert int(np.prod(shapes["conv_w"])) + int(np.prod(shapes["conv_b"])) == 5
 
@@ -82,11 +82,16 @@ def test_param_count_matches_enumeration():
             dense1_width=int(rng.integers(1, 10)),
             rnn_layers=int(rng.integers(1, 4)),
             rnn_hidden=int(rng.integers(1, 10)),
-            dense1_bias=bool(rng.integers(0, 2)),
             kind=HYBRID if rng.integers(0, 2) else RNN_ONLY,
         )
         model = init_model(cfg, int(rng.integers(0, 1000)))
         assert param_count(cfg) == sum(p.size for p in model.params.values())
+
+
+@pytest.mark.parametrize("width", ["conv_filters", "dense1_width", "rnn_layers", "rnn_hidden"])
+def test_config_rejects_width_below_one(width):
+    with pytest.raises(ValueError, match="invalid model config"):
+        ModelConfig(n_buses=3, **{width: 0})
 
 
 def test_config_rejects_invalid():
@@ -158,7 +163,7 @@ def test_cnn_branch_matches_manual_composition(rng):
     window = rng.normal(size=(4, 3))
     out = cnn_branch_forward(model, window)
     conv, _ = layers.conv1d_forward(window[None], p["conv_w"], p["conv_b"])
-    pooled, _ = layers.maxpool_forward(conv, 2)
+    pooled, _ = layers.maxpool_forward(conv)
     d1, _ = layers.dense_forward(pooled.reshape(1, -1), p["dense1_w"], p["dense1_b"], "relu")
     d2, _ = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
     npt.assert_array_equal(out, d2[0])
@@ -176,7 +181,7 @@ def test_flatten_is_map_major_forward_and_backward(rng):
     grads = model_backward(model, cache, d_out)
 
     conv, conv_cache = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
-    pooled, pool_cache = layers.maxpool_forward(conv, 2)
+    pooled, pool_cache = layers.maxpool_forward(conv)
     k, q = pooled.shape[1:]
     assert q == 2
     columns = [(f, j) for f in range(k) for j in range(q)]
@@ -283,8 +288,7 @@ def test_rnn_only_model_width(rng):
 # ---------------------------------------------------------------------------
 
 def test_save_load_round_trip_bit_exact(tmp_path, rng):
-    norm = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4),
-                      np.array([False, True, False, False]))
+    norm = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
     model = init_model(ModelConfig(**TINY), 9, norm)
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -294,7 +298,6 @@ def test_save_load_round_trip_bit_exact(tmp_path, rng):
         npt.assert_array_equal(back.params[k], model.params[k])
     npt.assert_array_equal(back.normalizer.mean, norm.mean)
     npt.assert_array_equal(back.normalizer.std, norm.std)
-    npt.assert_array_equal(back.normalizer.constant_mask, norm.constant_mask)
     window = rng.normal(size=(4, 3))
     npt.assert_array_equal(forecast_next(back, window), forecast_next(model, window))
 
@@ -307,7 +310,7 @@ def test_load_corrupt_header(tmp_path):
 
 
 def _split(path):
-    """A gridcast-model-v3 file's parsed header and its payload as
+    """A gridcast-model-v4 file's parsed header and its payload as
     {name: float64 values}, decoded independently of the loader."""
     raw = path.read_bytes()
     end = raw.index(b"\n")
@@ -351,7 +354,7 @@ def _as_v2(header, arrays):
         "config": header["config"],
         "normalizer": {"mean": _b64(arrays["normalizer.mean"]),
                        "std": _b64(arrays["normalizer.std"]),
-                       "constant_mask": header["constant_mask"]},
+                       "constant_mask": [False] * len(arrays["normalizer.mean"])},
         "params": {name: {"shape": shapes[name], "data": _b64(values)}
                    for name, values in arrays.items() if not name.startswith("normalizer.")},
     }
@@ -369,13 +372,23 @@ def _as_v1(doc):
     return doc
 
 
+def _as_v3(header):
+    """The v3 header of the same model: the v4 one plus constant_mask and the
+    kernel, pool and dense1_bias config keys."""
+    return {**header, "format_version": "gridcast-model-v3",
+            "config": {**header["config"], "kernel": 2, "pool": 2, "dense1_bias": True},
+            "constant_mask": [False] * 2 * header["config"]["n_buses"]}
+
+
 def test_load_version_mismatch(tmp_path):
     v0 = tmp_path / "v0.json"
     v0.write_text('{"format_version": "gridcast-model-v0"}')
-    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1, v2, v3 = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.gcm"
     v1.write_text(json.dumps(_as_v1(_as_v2(*_saved(v1))), indent=1) + "\n")
     v2.write_text(json.dumps(_as_v2(*_saved(v2)), indent=1) + "\n")
-    for path, version in ((v0, "v0"), (v1, "v1"), (v2, "v2")):
+    header, arrays = _saved(v3)
+    _write(v3, _as_v3(header), arrays)
+    for path, version in ((v0, "v0"), (v1, "v1"), (v2, "v2"), (v3, "v3")):
         with pytest.raises(ModelVersionError, match=rf"gridcast-model-{version}.*re-train"):
             load_model(path)
 
@@ -389,35 +402,33 @@ def test_load_shape_inconsistency(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("name, width", [("mean", 3), ("mean", 5), ("std", 1), ("std", 8),
-                                         ("constant_mask", 7), ("constant_mask", 1)])
+@pytest.mark.parametrize("name, width", [("mean", 3), ("mean", 5), ("std", 1), ("std", 8)])
 def test_load_rejects_wrong_normalizer_length(tmp_path, name, width):
     # tiny model: 4 features; numpy would broadcast a length-1 std silently
     path = tmp_path / "model.json"
     header, arrays = _saved(path)
-    if name == "constant_mask":
-        header["constant_mask"] = [False] * width
-    else:
-        key = f"normalizer.{name}"
-        header["arrays"] = [[k, [width] if k == key else shape] for k, shape in header["arrays"]]
-        arrays[key] = np.ones(width)
+    key = f"normalizer.{name}"
+    header["arrays"] = [[k, [width] if k == key else shape] for k, shape in header["arrays"]]
+    arrays[key] = np.ones(width)
     _write(path, header, arrays)
     with pytest.raises(ModelShapeError, match=name):
         load_model(path)
 
 
-@pytest.mark.parametrize("mask, message", [
-    (["no", 0, "false", None], r"constant_mask\[0\]: 'no' is not true or false"),
-    ([1, 0, 1, 0], r"constant_mask\[0\]: 1 is not true or false"),
-    ([True, False, None, False], r"constant_mask\[2\]: None"),
-    ("true", "constant_mask: expected a list"),
-], ids=["strings-and-null", "integers", "null-entry", "not-a-list"])
-def test_load_rejects_non_boolean_constant_mask(tmp_path, mask, message):
-    path = tmp_path / "model.json"
-    header, arrays = _saved(path)
-    header["constant_mask"] = mask
+@pytest.mark.parametrize("width", ["dense1_width", "rnn_hidden"])
+def test_load_rejects_width_below_one(tmp_path, width):
+    """A header whose config has a zero width is refused, even with every
+    array listed and stored in the shape that width gives."""
+    path = tmp_path / "model.gcm"
+    header, _ = _saved(path)
+    header["config"][width] = 0
+    cfg = ModelConfig(**TINY)
+    setattr(cfg, width, 0)  # past the config check, for the shapes a zero width gives
+    arrays = {"normalizer.mean": np.zeros(4), "normalizer.std": np.ones(4),
+              **{name: np.zeros(shape) for name, (_, shape) in param_layout(cfg).items()}}
+    header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
     _write(path, header, arrays)
-    with pytest.raises(ModelParseError, match=message):
+    with pytest.raises(ModelParseError, match="invalid model config"):
         load_model(path)
 
 
@@ -489,8 +500,7 @@ def test_any_finite_float64_round_trips_bit_exactly(values):
 
 
 def test_save_load_save_is_byte_identical(tmp_path, rng):
-    norm = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4),
-                      np.array([True, False, False, True]))
+    norm = Normalizer(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
     model = _filled_model(np.resize(EDGE_FLOATS, TINY_VALUES))
     model.normalizer = norm
     first, second = tmp_path / "a.json", tmp_path / "b.json"

@@ -12,6 +12,7 @@ from gridcast.layers import (ShapeError, conv1d_backward, conv1d_forward,
                              stacked_rnn_forward)
 
 from conftest import (central_diff, oracle_conv1d_backward, oracle_conv1d_forward,
+                      oracle_maxpool_backward, oracle_maxpool_forward,
                       oracle_stacked_rnn_backward, oracle_stacked_rnn_forward,
                       rel_err, rnn_cell_step)
 
@@ -27,9 +28,9 @@ def test_relu_sign_boundaries():
 
 
 def test_relu_fixed_point_and_identity():
-    out, _ = dense_forward(np.zeros((1, 5)), np.eye(5), None, activation="relu")
+    out, _ = dense_forward(np.zeros((1, 5)), np.eye(5), np.zeros(5), activation="relu")
     npt.assert_array_equal(out, np.zeros((1, 5)))
-    out, _ = dense_forward(np.array([[3.0]]), np.eye(1), None, activation="relu")
+    out, _ = dense_forward(np.array([[3.0]]), np.eye(1), np.zeros(1), activation="relu")
     npt.assert_array_equal(out, [[3.0]])
 
 
@@ -123,37 +124,37 @@ def test_conv_gradients_match_finite_differences(rng):
 
 def test_maxpool_hand_oracle_drops_remainder():
     x = np.array([[[1.0, 3, 2, 5, 4, 0, 7, 1, 6]]])
-    out, _ = maxpool_forward(x, 2)
+    out, _ = maxpool_forward(x)
     npt.assert_array_equal(out, [[[3.0, 5.0, 4.0, 7.0]]])
 
 
 def test_maxpool_constant_map():
-    out, _ = maxpool_forward(np.full((1, 1, 4), 2.5), 2)
+    out, _ = maxpool_forward(np.full((1, 1, 4), 2.5))
     npt.assert_array_equal(out, np.full((1, 1, 2), 2.5))
 
 
 def test_maxpool_reference_scale_width():
-    out, _ = maxpool_forward(np.zeros((1, 118, 9)), 2)
+    out, _ = maxpool_forward(np.zeros((1, 118, 9)))
     assert out.shape == (1, 118, 4)
 
 
 def test_maxpool_rejects_narrow_input():
     with pytest.raises(ShapeError):
-        maxpool_forward(np.zeros((1, 2, 1)), 2)
+        maxpool_forward(np.zeros((1, 2, 1)))
 
 
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=12),
        st.floats(0.001, 50))
 def test_maxpool_monotone_under_positive_shift(vals, c):
     x = np.array(vals)[None, None, :]
-    base, _ = maxpool_forward(x, 2)
-    shifted, _ = maxpool_forward(x + c, 2)
+    base, _ = maxpool_forward(x)
+    shifted, _ = maxpool_forward(x + c)
     npt.assert_allclose(shifted, base + c, atol=1e-9)
 
 
 def test_maxpool_backward_routes_to_argmax():
     x = np.array([[[1.0, 3, 2, 5]]])
-    out, cache = maxpool_forward(x, 2)
+    out, cache = maxpool_forward(x)
     dx = maxpool_backward(cache, np.array([[[10.0, 20.0]]]))
     npt.assert_array_equal(dx, [[[0.0, 10.0, 0.0, 20.0]]])
 
@@ -163,13 +164,30 @@ def test_maxpool_gradients_match_finite_differences(rng):
         g = np.random.default_rng(seed)
         x = g.normal(size=(2, 3, 7))
         probe = g.normal(size=(2, 3, 3))
-        _, cache = maxpool_forward(x, 2)
+        _, cache = maxpool_forward(x)
         dx = maxpool_backward(cache, probe)
 
         def loss():
-            return float(np.sum(maxpool_forward(x, 2)[0] * probe))
+            return float(np.sum(maxpool_forward(x)[0] * probe))
 
         assert rel_err(dx, central_diff(loss, x)) < 1e-4
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_maxpool_pair_max_matches_argmax_oracle(b, k, m, data):
+    """The pair max equals the argmax pool bit for bit, ties (including
+    -0.0 against 0.0) going to the first column, and routes each gradient
+    to the column the argmax picks."""
+    vals = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    x = np.array(data.draw(st.lists(vals, min_size=b * k * m, max_size=b * k * m))
+                 ).reshape(b, k, m)
+    d_out = np.arange(1.0, b * k * (m // 2) + 1).reshape(b, k, m // 2)
+    out, cache = maxpool_forward(x)
+    want, arg = oracle_maxpool_forward(x)
+    npt.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+    npt.assert_array_equal(maxpool_backward(cache, d_out),
+                           oracle_maxpool_backward(x.shape, arg, d_out))
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +218,12 @@ def test_dense_rejects_length_mismatch():
 
 
 @pytest.mark.parametrize("activation", ["linear", "relu"])
-@pytest.mark.parametrize("with_bias", [True, False])
-def test_dense_gradients_match_finite_differences(activation, with_bias):
+def test_dense_gradients_match_finite_differences(activation):
     for seed in range(20):
         g = np.random.default_rng(seed)
         x = g.normal(size=(3, 4))
         w = g.normal(size=(2, 4))
-        b = g.normal(size=2) if with_bias else None
+        b = g.normal(size=2)
         probe = g.normal(size=(3, 2))
         _, cache = dense_forward(x, w, b, activation)
         (dw, db), dx = dense_backward(cache, probe)
@@ -216,10 +233,7 @@ def test_dense_gradients_match_finite_differences(activation, with_bias):
 
         assert rel_err(dw, central_diff(loss, w)) < 1e-4
         assert rel_err(dx, central_diff(loss, x)) < 1e-4
-        if with_bias:
-            assert rel_err(db, central_diff(loss, b)) < 1e-4
-        else:
-            assert db is None
+        assert rel_err(db, central_diff(loss, b)) < 1e-4
 
 
 def test_relu_dense_all_negative_pre_has_zero_input_grad():
