@@ -64,9 +64,10 @@ def cmd_gen_data(args):
         cfg = SyntheticConfig(n_buses=args.buses, length=args.length, period=args.period,
                               noise_std_magnitude=args.noise, noise_std_angle=args.angle_noise,
                               coupling=args.coupling, seed=args.seed)
+        # generation reads only flags: a non-finite series is a usage error
+        series = generate_synthetic_series(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    series = generate_synthetic_series(cfg)
     save_series(series, args.out)
     _write_manifest(args.out, "gen-data", args, [args.seed], [], [args.out], t0)
     print(f"wrote {len(series)} instances x {2 * args.buses} features to {args.out}")

@@ -14,14 +14,16 @@ windows is (..., 2n, r), features along rows and time along the last axis.
 
 Synthetic series model (per bus i, time step t, all randomness seeded):
 
-    vm_i(t) = base + A_i * sin(2*pi*t/period + phi_i) + eps_i(t)
+    vm_i(t) = BASE_MAGNITUDE + A_i * sin(2*pi*t/period + phi_i) + eps_i(t)
     va_i(t) = off_i + core_i(t) + c * core_{(i-1) mod n}(t) + eps'_i(t)
     core_i(t) = B_i * sin(2*pi*t/period + psi_i)
 
-where A_i, phi_i, off_i, B_i, psi_i are per-bus constants drawn from the
-seed, c is the ring-coupling weight, and eps, eps' are Gaussian with the
-configured standard deviations. With zero noise the series is exactly
-periodic with the configured period.
+where the per-bus constants are drawn from the seed, in this order:
+A_i = MAGNITUDE_AMPLITUDE * U(0.5, 1), phi_i = U(0, 2*pi),
+off_i = ANGLE_OFFSET_SCALE * U(-1, 1), B_i = ANGLE_AMPLITUDE * U(0.5, 1) and
+psi_i = U(0, 2*pi); c is the ring-coupling weight, and eps, eps' are
+Gaussian with the configured standard deviations. With zero noise the
+series is exactly periodic with the configured period.
 """
 
 from __future__ import annotations
@@ -114,7 +116,9 @@ def fit_normalizer(train: StateSeries) -> Normalizer:
     if len(train) == 0:
         raise ValueError("cannot fit a normalizer on an empty series")
     mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0)
+    # an exact power-of-two scale keeps the squares of values beyond 1e154 finite
+    scale = np.ldexp(1.0, -np.frexp(np.abs(train.values).max(axis=0))[1])
+    std = (train.values * scale).std(axis=0) / scale
     return Normalizer(mean, np.where(std == 0.0, 1.0, std))
 
 
@@ -245,14 +249,14 @@ def save_series(series: StateSeries, path):
 # synthetic generator
 # ---------------------------------------------------------------------------
 
+# the generator's grid shape (p.u. and degrees); not settings
+BASE_MAGNITUDE, MAGNITUDE_AMPLITUDE, ANGLE_OFFSET_SCALE, ANGLE_AMPLITUDE = 1.0, 0.02, 30.0, 5.0
+
+
 @dataclass
 class SyntheticConfig:
     n_buses: int
     length: int
-    base_magnitude: float = 1.0
-    magnitude_amplitude: float = 0.02
-    angle_offset_scale: float = 30.0
-    angle_amplitude: float = 5.0
     period: int = 96
     noise_std_magnitude: float = 5e-4
     noise_std_angle: float = 0.02
@@ -279,17 +283,17 @@ def generate_synthetic_series(cfg: SyntheticConfig) -> StateSeries:
     for the exact closed form. Deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
     n, t_len = cfg.n_buses, cfg.length
-    amp_vm = cfg.magnitude_amplitude * rng.uniform(0.5, 1.0, n)
+    amp_vm = MAGNITUDE_AMPLITUDE * rng.uniform(0.5, 1.0, n)
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    offset = cfg.angle_offset_scale * rng.uniform(-1.0, 1.0, n)
-    amp_va = cfg.angle_amplitude * rng.uniform(0.5, 1.0, n)
+    offset = ANGLE_OFFSET_SCALE * rng.uniform(-1.0, 1.0, n)
+    amp_va = ANGLE_AMPLITUDE * rng.uniform(0.5, 1.0, n)
     psi = rng.uniform(0.0, 2.0 * np.pi, n)
     noise_vm = rng.standard_normal((t_len, n)) * cfg.noise_std_magnitude
     noise_va = rng.standard_normal((t_len, n)) * cfg.noise_std_angle
 
     t = np.arange(t_len)[:, None]
     omega = 2.0 * np.pi / cfg.period
-    vm = cfg.base_magnitude + amp_vm[None, :] * np.sin(omega * t + phi[None, :]) + noise_vm
+    vm = BASE_MAGNITUDE + amp_vm[None, :] * np.sin(omega * t + phi[None, :]) + noise_vm
     core = amp_va[None, :] * np.sin(omega * t + psi[None, :])
     va = offset[None, :] + core + cfg.coupling * np.roll(core, 1, axis=1) + noise_va
     return StateSeries(n, np.concatenate([vm, va], axis=1))

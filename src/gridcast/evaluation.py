@@ -7,7 +7,8 @@ nRMSE definition used throughout this package:
     nrmse = sqrt(sum_t ||pred_t - truth_t||^2) / sqrt(sum_t ||truth_t||^2)
 
 over all components and all test instances; 0 for perfect predictions,
-1 for all-zero predictions.
+1 for all-zero predictions. Both sums run over values scaled by the exact
+power of two that puts max |truth| in [0.5, 1), so no square overflows.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ def normalized_rmse(preds, truths):
     truths = np.asarray(truths, dtype=float)
     if preds.shape != truths.shape or preds.size == 0:
         raise ValueError(f"bad shapes {preds.shape} vs {truths.shape}")
-    num = np.sqrt(np.sum((preds - truths) ** 2))
-    den = np.sqrt(np.sum(truths ** 2))
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(truths)))[1])
+    num = np.sqrt(np.sum(((preds - truths) * scale) ** 2))
+    den = np.sqrt(np.sum((truths * scale) ** 2))
     if den == 0.0:
         raise ValueError("truth norm is zero; nRMSE undefined")
     return float(num / den)

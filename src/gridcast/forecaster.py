@@ -1,5 +1,5 @@
 """Model assembly: the hybrid two-branch forecaster and the RNN-only
-baseline, parameter initialization and accounting, and model persistence.
+baseline, parameter initialization and layout, and model persistence.
 
 Architecture (hybrid): both branches read the full 2n x r window of
 normalized states. The convolutional branch (conv -> relu -> maxpool ->
@@ -24,7 +24,8 @@ arrays, concatenated in header order with nothing after them, so
 save/load round trips are bit-exact. Loading checks the version, that
 every listed name and shape is the expected one, that the payload is
 exactly 8 bytes per listed element, and that every value is finite.
-Files of an older format version (v1-v3) are not read: re-train.
+Only the first line is parsed: older files fail, a v3 file by its version
+and a v1/v2 file (indented JSON, first line "{") as unreadable: re-train.
 """
 
 from __future__ import annotations
@@ -124,10 +125,6 @@ def branch_param_names(cfg: ModelConfig, branch):
     branch; an RNN-only model has no "cnn" parameters."""
     prefixes = {"cnn": ("conv_", "dense1_", "dense2_"), "rnn": ("rnn", "dense3_")}[branch]
     return [n for n in param_layout(cfg) if n.startswith(prefixes)]
-
-
-def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_layout(cfg).values())
 
 
 @dataclass
@@ -271,18 +268,9 @@ def load_model(path) -> ForecastModel:
         line = fh.readline()
         try:
             header = json.loads(line)
-        except ValueError:
-            header = None
-        if not isinstance(header, dict):
-            # v1 and v2 files are indented JSON documents whose first line is
-            # "{": parse the whole file, on this error path only, to name its
-            # version
-            fh.seek(0)
-            line = b""
-            try:
-                header = json.loads(fh.read())
-            except ValueError as exc:
-                raise ModelParseError(f"unreadable model file {path}: {exc}") from None
+        except ValueError as exc:
+            raise ModelParseError(f"unreadable model header in {path} ({exc}): an older "
+                                  "model file needs a re-train") from None
         if not isinstance(header, dict) or "format_version" not in header:
             raise ModelParseError(f"{path} is not a model file")
         if header["format_version"] != MODEL_FORMAT_VERSION:

@@ -12,13 +12,14 @@ memory layout (C-ordered, or the time-major one of `build_windows` and
     one GEMM for all taps and columns, then shifted tap slices summed.
     Backward: dw[..., j] = d_pre^T @ xt[:, j:j + p], and dx sums the
     shifted taps of one d_pre @ w GEMM.
-  * stacked RNN, layers outside and time inside on (r, B, H) buffers: a
-    layer's input projection below @ wx.T + b is one GEMM for all r steps;
-    only h[t - 1] @ wh.T stays in the step loop. Backward computes a layer's
-    ReLU mask once over its (r, B, H) pre-activations; each step then adds
-    the gradient from above in place to the recurrent term d_pre[t] @ wh
-    and writes d_h * mask[t - 1] straight into d_pre[t - 1]. dwx, dwh and
-    d_below = d_pre @ wx are one GEMM each over r*B rows.
+  * stacked RNN, layers outside and time inside on one (r, B, H) buffer
+    per layer: a layer's input projection below @ wx.T + b is one GEMM for
+    all r steps; only h[t - 1] @ wh.T stays in the step loop, and each
+    step's ReLU turns its pre-activation into h[t] in place. Backward
+    computes a layer's ReLU mask once over its (r, B, H) states; each step
+    then adds the gradient from above in place to the recurrent term
+    d_pre[t] @ wh and writes d_h * mask[t - 1] straight into d_pre[t - 1].
+    dwx, dwh and d_below = d_pre @ wx are one GEMM each over r*B rows.
 
 Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
@@ -26,8 +27,9 @@ Conventions pinned here:
     last column dropped; a tie resolves to the first (earliest) column
   * every dense layer has a bias
   * ReLU subgradient at exactly 0 is 0: every ReLU kernel (conv, dense,
-    RNN) runs np.maximum(pre, 0.0) forward and masks d_out * (pre > 0.0)
-    backward
+    RNN) runs np.maximum(pre, 0.0, out=pre) forward, caches only that
+    output, and masks d_out * (out > 0.0) backward; out > 0.0 holds
+    exactly where pre > 0.0 does, NaN included
 """
 
 from __future__ import annotations
@@ -60,16 +62,17 @@ def conv1d_forward(x, w, b):
     # taps[:, t, j] = w[:, :, j] @ x[:, :, t]; output position q sums taps[:, q + j, j]
     taps = (xt.reshape(b_ * r, c) @ w.transpose(2, 0, 1).reshape(kernel * k, c).T
             ).reshape(b_, r, kernel, k)
-    pre = (sum(taps[:, j:j + p, j] for j in range(kernel)) + b).transpose(0, 2, 1)
-    return np.maximum(pre, 0.0), (x, w, pre)
+    out = (sum(taps[:, j:j + p, j] for j in range(kernel)) + b).transpose(0, 2, 1)
+    np.maximum(out, 0.0, out=out)
+    return out, (x, w, out)
 
 
 def conv1d_backward(cache, d_out):
-    x, w, pre = cache
+    x, w, out = cache
     b_, c, r = x.shape
     k, _, kernel = w.shape
-    p = pre.shape[2]
-    d_pre = np.ascontiguousarray((d_out * (pre > 0.0)).transpose(0, 2, 1)).reshape(b_ * p, k)
+    p = out.shape[2]
+    d_pre = np.ascontiguousarray((d_out * (out > 0.0)).transpose(0, 2, 1)).reshape(b_ * p, k)
     xt = x.transpose(0, 2, 1)
     dw = np.empty_like(w)
     for j in range(kernel):
@@ -118,14 +121,15 @@ def dense_forward(x, w, b, activation="linear"):
         raise ShapeError(f"input width {x.shape[1]} != weight cols {w.shape[1]}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
-    pre = x @ w.T + b
-    out = np.maximum(pre, 0.0) if activation == "relu" else pre
-    return out, (x, w, pre, activation)
+    out = x @ w.T + b
+    if activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    return out, (x, w, out, activation)
 
 
 def dense_backward(cache, d_out):
-    x, w, pre, activation = cache
-    d_pre = d_out * (pre > 0.0) if activation == "relu" else d_out
+    x, w, out, activation = cache
+    d_pre = d_out * (out > 0.0) if activation == "relu" else d_out
     dw = d_pre.T @ x
     db = d_pre.sum(axis=0)
     dx = d_pre @ w
@@ -157,27 +161,25 @@ def stacked_rnn_forward(x, layer_params):
         in_dim = wh.shape[0]
     xs = np.ascontiguousarray(x.transpose(2, 0, 1))
     below = xs
-    pres, hidden = [], []
+    hidden = []
     for wx, wh, bias in layer_params:
-        pre = (below.reshape(r * b_, wx.shape[1]) @ wx.T).reshape(r, b_, wx.shape[0])
-        pre += bias
+        h = (below.reshape(r * b_, wx.shape[1]) @ wx.T).reshape(r, b_, wx.shape[0])
+        h += bias
         # h[t] is the layer's state after consuming columns 0..t; the state
         # before column 0 is zero, so step 0 has no recurrent term
-        h = np.empty_like(pre)
-        np.maximum(pre[0], 0.0, out=h[0])
-        for t in range(1, r):
-            pre[t] += h[t - 1] @ wh.T
-            np.maximum(pre[t], 0.0, out=h[t])
-        pres.append(pre)
+        np.maximum(h[0], 0.0, out=h[0])
+        for prev, ht in zip(h, h[1:]):  # ht is h[t], prev h[t - 1]
+            ht += prev @ wh.T
+            np.maximum(ht, 0.0, out=ht)
         hidden.append(h)
         below = h
-    return hidden[-1][-1], (x, layer_params, pres, hidden, xs)
+    return hidden[-1][-1], (x, layer_params, hidden, xs)
 
 
 def stacked_rnn_backward(cache, d_top):
     """Backpropagation through time; d_top is the gradient w.r.t. the final
     top-layer hidden state. Returns ([(dwx, dwh, db) per layer], dx)."""
-    x, layer_params, pres, hidden, xs = cache
+    x, layer_params, hidden, xs = cache
     b_, _, r = x.shape
     grads = [None] * len(layer_params)
     # d_states[t]: gradient w.r.t. the current layer's h[t] from the layer above
@@ -185,9 +187,9 @@ def stacked_rnn_backward(cache, d_top):
     d_states[-1] = d_top
     for l in reversed(range(len(layer_params))):
         wx, wh, _ = layer_params[l]
-        pre, h = pres[l], hidden[l]
-        live = pre > 0.0
-        d_pre = np.empty_like(pre)
+        h = hidden[l]
+        live = h > 0.0
+        d_pre = np.empty_like(h)
         np.multiply(d_states[r - 1], live[r - 1], out=d_pre[r - 1])
         for t in reversed(range(r - 1)):
             # np.matmul(..., out=) measured slower than a fresh product at large B

@@ -10,8 +10,9 @@ theta, in `forecaster.param_layout` order; the working model's params are
 reshaped views into it. Each batch's gradients are concatenated into one
 flat buffer g of the same layout (a frozen branch is a zeroed slice), and
 `adam_step` updates theta and the flat Adam moments in place with
-preallocated scratch, in the same operation order as the textbook formula,
-one cache-sized block of the vectors at a time.
+preallocated scratch, in the same operation order as the textbook formula
+with its fixed BETA1, BETA2 and EPSILON (only the learning rate is a
+hyperparameter), one cache-sized block of the vectors at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .forecaster import ForecastModel, ModelConfig
 # block's operands stay in cache across its 14 ufunc passes; at 118 buses
 # (558k parameters) a whole-vector sweep per ufunc is bound by memory traffic
 ADAM_BLOCK = 32768
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's textbook constants
 
 
 class DivergenceError(RuntimeError):
@@ -42,17 +44,12 @@ class DivergenceError(RuntimeError):
 @dataclass
 class Hyperparams:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
     freeze_branch: str = None  # None | "cnn" | "rnn"
 
     def __post_init__(self):
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
@@ -76,7 +73,6 @@ class AdamState:
 @dataclass
 class TrainReport:
     epoch_losses: list
-    seed: int
     hyperparams: dict
     n_train_samples: int
     final_train_loss: float
@@ -104,9 +100,9 @@ def adam_step(theta, g, state: AdamState, hp: Hyperparams):
     gradient g, in place on theta, state.m and state.v; advances state.t.
 
     Each ufunc matches one operation of
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        theta = theta - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
+        theta = theta - lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPSILON)
     in the same order, so the result is bit-identical to that formula. The
     ufuncs are element-wise, so sweeping ADAM_BLOCK elements at a time
     changes no bit."""
@@ -114,23 +110,23 @@ def adam_step(theta, g, state: AdamState, hp: Hyperparams):
         raise ValueError(f"adam_step needs equal flat vectors: theta {theta.shape}, gradient "
                          f"{g.shape}, moments {state.m.shape} / {state.v.shape}")
     state.t += 1
-    c1, c2 = 1 - hp.beta1 ** state.t, 1 - hp.beta2 ** state.t
+    c1, c2 = 1 - BETA1 ** state.t, 1 - BETA2 ** state.t
     for lo in range(0, theta.size, ADAM_BLOCK):
         blk = slice(lo, lo + ADAM_BLOCK)
         p, gb, m, v = theta[blk], g[blk], state.m[blk], state.v[blk]
         a, b = state._scratch[:, :p.size]
-        np.multiply(m, hp.beta1, out=m)
-        np.multiply(gb, 1 - hp.beta1, out=a)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(gb, 1 - BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, hp.beta2, out=v)
-        np.multiply(gb, 1 - hp.beta2, out=a)
+        np.multiply(v, BETA2, out=v)
+        np.multiply(gb, 1 - BETA2, out=a)
         np.multiply(a, gb, out=a)
         np.add(v, a, out=v)
         np.divide(m, c1, out=a)
         np.multiply(a, hp.learning_rate, out=a)
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, hp.epsilon, out=b)
+        np.add(b, EPSILON, out=b)
         np.divide(a, b, out=a)
         np.subtract(p, a, out=p)
 
@@ -193,14 +189,7 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
         epoch_losses.append(total / n)
     pred, _ = forecaster.model_forward(work, x)
     final_loss, _ = joint_loss_and_grad(pred, y, model.config.n_buses)
-    report = TrainReport(
-        epoch_losses=epoch_losses,
-        seed=hp.seed,
-        hyperparams=asdict(hp),
-        n_train_samples=n,
-        final_train_loss=float(final_loss),
-    )
-    return work, report
+    return work, TrainReport(epoch_losses, asdict(hp), n, float(final_loss))
 
 
 def fit_forecaster(series, config: ModelConfig, hp: Hyperparams, train_fraction=0.8):

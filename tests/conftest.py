@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from gridcast import forecaster
-from gridcast.forecaster import ForecastModel
+from gridcast.forecaster import ForecastModel, param_layout
 from gridcast.layers import ShapeError
-from gridcast.training import joint_loss_and_grad
+from gridcast.training import BETA1, BETA2, EPSILON, joint_loss_and_grad
+
+
+def param_count(cfg):
+    """Number of scalar parameters of a model with config cfg."""
+    return sum(int(np.prod(shape)) for _, shape in param_layout(cfg).values())
 
 
 def batch_loss_and_grads(model, x, y):
@@ -176,11 +181,11 @@ def oracle_adam_step(params, grads, m, v, t, hp):
     new_p, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
-        mk = hp.beta1 * m[k] + (1 - hp.beta1) * g
-        vk = hp.beta2 * v[k] + (1 - hp.beta2) * g * g
-        m_hat = mk / (1 - hp.beta1 ** t)
-        v_hat = vk / (1 - hp.beta2 ** t)
-        new_p[k] = p - hp.learning_rate * m_hat / (np.sqrt(v_hat) + hp.epsilon)
+        mk = BETA1 * m[k] + (1 - BETA1) * g
+        vk = BETA2 * v[k] + (1 - BETA2) * g * g
+        m_hat = mk / (1 - BETA1 ** t)
+        v_hat = vk / (1 - BETA2 ** t)
+        new_p[k] = p - hp.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         new_m[k] = mk
         new_v[k] = vk
     return new_p, new_m, new_v

@@ -17,10 +17,11 @@ from gridcast.data_pipeline import (SyntheticConfig, build_windows,
 from gridcast.evaluation import (comparison_table, evaluate_predictions,
                                  export_trace_csv, normalized_rmse,
                                  persistence_predictions)
-from gridcast.forecaster import ModelConfig, init_model, param_count
+from gridcast.forecaster import ModelConfig, init_model
 from gridcast.training import Hyperparams, fit_forecaster
 
-from conftest import batch_loss_and_grads, central_diff, rel_err
+from conftest import (batch_loss_and_grads, central_diff, oracle_conv1d_forward,
+                      param_count, rel_err)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4, rnn_layers=3)
 FD_STEP = 1e-5
@@ -89,13 +90,22 @@ def _layer_gradcheck(seed):
 
 
 def _kink_margin(model, x):
-    """Smallest |pre-activation| feeding a ReLU anywhere in the model."""
+    """Smallest |pre-activation| feeding a ReLU anywhere in the model. The
+    caches hold only the ReLU outputs, so each pre-activation is recomputed
+    from the inputs and states they hold."""
     _, cache = forecaster.model_forward(model, x)
-    pres = [cache["rnn"][2][l][t] for l in range(model.config.rnn_layers)
-            for t in range(model.config.lag_r)]
+    _, layer_params, hidden, below = cache["rnn"]
+    pres = []
+    for (wx, wh, b), h in zip(layer_params, hidden):
+        for t in range(len(h)):
+            recurrent = h[t - 1] @ wh.T if t else 0.0
+            pres.append(below[t] @ wx.T + recurrent + b)
+        below = h
     if model.config.kind == forecaster.HYBRID:
-        pres.append(cache["conv"][2])
-        pres.append(cache["dense1"][2])
+        p = model.params
+        pres.append(oracle_conv1d_forward(cache["conv"][0], p["conv_w"], p["conv_b"])[1])
+        flat, w, _, _ = cache["dense1"]
+        pres.append(flat @ w.T + p["dense1_b"])
     return min(float(np.min(np.abs(p))) for p in pres)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -80,10 +81,11 @@ def test_usage_error_exit_code():
     (["gen-data", "--noise", "nan"], None),
     (["gen-data", "--angle-noise", "inf"], None),
     (["gen-data", "--coupling", "inf"], None),
+    (["gen-data", "--buses", "2", "--length", "50", "--coupling", "1e308"], None),
 ], ids=["train-lr", "train-epochs", "train-lag", "train-fraction", "train-seed",
         "train-lr-nan", "train-lr-inf", "eval-lr-nan", "gen-data-buses", "gen-data-period",
         "gen-data-seed", "gen-data-noise-nan", "gen-data-angle-noise-inf",
-        "gen-data-coupling-inf"])
+        "gen-data-coupling-inf", "gen-data-coupling-overflow"])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
     """An out-of-range value is a usage error (exit 2); train and eval name
     the flag and report it before reading any file (here none exists)."""
@@ -162,6 +164,18 @@ def test_train_divergence_exit_code(tmp_path, dataset):
     rc = main(["train", "--data", str(dataset), "--model-out",
                str(tmp_path / "m.json"), "--epochs", "3", "--lr", "1e200"])
     assert rc == 3
+
+
+def test_train_on_values_beyond_1e154_reports_finite_nrmse(tmp_path):
+    """Squares of such values overflow; the normalizer std and the nRMSE
+    stay finite, and the model file loads."""
+    data, model = tmp_path / "big.csv", tmp_path / "big.gcm"
+    assert main(["gen-data", "--buses", "2", "--length", "100", "--noise", "1e200",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--model-out", str(model), "--epochs", "1"]) == 0
+    report = json.loads((tmp_path / "big.gcm.report.json").read_text())
+    assert np.isfinite(report["test_nrmse"]) and report["test_nrmse"] > 0
+    assert np.isfinite(load_model(model).normalizer.std).all()
 
 
 def test_train_rnn_only_baseline(tmp_path, dataset):
@@ -356,6 +370,22 @@ def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, mo
     assert report.read_text().startswith(table + "\naggregate over independent runs:\n")
 
 
+def test_run_benchmark_prints_every_method_row(tmp_path, capsys):
+    data, model = tmp_path / "grid.csv", tmp_path / "model.gcm"
+    assert main(["gen-data", "--buses", "3", "--length", "120", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--model-out", str(model), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(data), "--runs", "2",
+                 "--epochs", "1", "--compare", "persistence,rnn-only"]) == 0
+    out = capsys.readouterr().out
+    for method in ("hybrid", "rnn-only", "persistence"):
+        assert re.search(rf"^{method} +\d", out, re.M), method
+    for label in ("", " (rnn-only)"):
+        block = out.split(f"aggregate over independent runs{label}:\n")[1]
+        agg = json.JSONDecoder().raw_decode(block)[0]
+        assert agg["n_runs"] == 2 and agg["n_completed"] == 2, label
+
+
 # ---------------------------------------------------------------------------
 # forecast
 # ---------------------------------------------------------------------------
@@ -418,8 +448,8 @@ def test_forecast_v1_model_exit_code(tmp_path, dataset, model_file, capsys):
     rc = main(["forecast", "--model", str(old), "--data", str(dataset),
                "--at-instance", "50"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "gridcast-model-v1" in err and "re-train" in err
+    err = capsys.readouterr().err  # a v1 file's first line is "{": no header to name it
+    assert str(old) in err and "re-train" in err
 
 
 def test_forecast_out_of_range(tmp_path, dataset, model_file):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast.data_pipeline import (DataFormatError, Normalizer, StateSeries,
-                                    SyntheticConfig, atomic_write, build_windows,
-                                    chronological_split, fit_normalizer,
-                                    generate_synthetic_series, load_series,
-                                    save_series)
+from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MAGNITUDE,
+                                    MAGNITUDE_AMPLITUDE, DataFormatError, Normalizer,
+                                    StateSeries, SyntheticConfig, atomic_write,
+                                    build_windows, chronological_split, fit_normalizer,
+                                    generate_synthetic_series, load_series, save_series)
 
 
 def make_series(t, n, seed=0):
@@ -225,6 +225,19 @@ def test_stats_depend_only_on_training_partition():
     npt.assert_array_equal(stats1.std, stats2.std)
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-600, 0, 600]))
+@settings(max_examples=30, deadline=None)
+def test_fit_normalizer_bit_identical_under_power_of_two_scaling(seed, j):
+    """mean and std scale exactly with the data by 2**j, and at j = 0 the
+    std keeps numpy's bits; at j = 600 the raw squares would overflow."""
+    values = np.random.default_rng(seed).normal(size=(20, 4)) * [1.0, 30.0, 1e-3, 5.0]
+    base = fit_normalizer(StateSeries(2, values))
+    npt.assert_array_equal(base.std, values.std(axis=0))
+    scaled = fit_normalizer(StateSeries(2, np.ldexp(values, j)))
+    for got, want in ((scaled.mean, base.mean), (scaled.std, base.std)):
+        npt.assert_array_equal(got.view(np.uint64), np.ldexp(want, j).view(np.uint64))
+
+
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
         fit_normalizer(StateSeries(1, np.zeros((0, 2))))
@@ -258,15 +271,6 @@ def test_identity_normalizer_is_a_noop(rng):
 # synthetic generator
 # ---------------------------------------------------------------------------
 
-def test_zero_dynamics_gives_constant_series():
-    cfg = SyntheticConfig(n_buses=3, length=20, magnitude_amplitude=0.0,
-                          angle_amplitude=0.0, noise_std_magnitude=0.0,
-                          noise_std_angle=0.0, seed=1)
-    series = generate_synthetic_series(cfg)
-    npt.assert_array_equal(series.values, np.tile(series.values[0], (20, 1)))
-    npt.assert_allclose(series.values[0, :3], 1.0)
-
-
 def test_same_seed_identical_series():
     cfg = SyntheticConfig(n_buses=4, length=30, seed=11)
     a = generate_synthetic_series(cfg)
@@ -281,15 +285,15 @@ def test_zero_noise_matches_closed_form():
     # independent recomputation of the documented formula, same draw order
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_buses
-    amp_vm = cfg.magnitude_amplitude * rng.uniform(0.5, 1.0, n)
+    amp_vm = MAGNITUDE_AMPLITUDE * rng.uniform(0.5, 1.0, n)
     phi = rng.uniform(0.0, 2 * np.pi, n)
-    offset = cfg.angle_offset_scale * rng.uniform(-1.0, 1.0, n)
-    amp_va = cfg.angle_amplitude * rng.uniform(0.5, 1.0, n)
+    offset = ANGLE_OFFSET_SCALE * rng.uniform(-1.0, 1.0, n)
+    amp_va = ANGLE_AMPLITUDE * rng.uniform(0.5, 1.0, n)
     psi = rng.uniform(0.0, 2 * np.pi, n)
     omega = 2 * np.pi / cfg.period
     for t in range(cfg.length):
         for i in range(n):
-            vm = cfg.base_magnitude + amp_vm[i] * np.sin(omega * t + phi[i])
+            vm = BASE_MAGNITUDE + amp_vm[i] * np.sin(omega * t + phi[i])
             core_i = amp_va[i] * np.sin(omega * t + psi[i])
             j = (i - 1) % n
             core_j = amp_va[j] * np.sin(omega * t + psi[j])

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcast.evaluation import (ErrorTrace, comparison_table,
@@ -48,6 +48,22 @@ def test_nrmse_scale_covariant_in_errors(c, seed):
     base = normalized_rmse(truths + errors, truths)
     scaled = normalized_rmse(truths + c * errors, truths)
     assert scaled == pytest.approx(c * base, rel=1e-9)
+
+
+MODERATE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@given(st.lists(st.tuples(MODERATE, MODERATE), min_size=1, max_size=12),
+       st.sampled_from([-600, 0, 600]))
+@settings(max_examples=100, deadline=None)
+def test_nrmse_bit_identical_under_power_of_two_scaling(pairs, j):
+    """Scaling by 2**j is exact, so nRMSE keeps its bits; at j = 600 the
+    squares of the raw values would overflow, at j = -600 underflow."""
+    preds, truths = np.array(pairs).T
+    assume(truths.any())
+    got = normalized_rmse(np.ldexp(preds, j), np.ldexp(truths, j))
+    want = normalized_rmse(preds, truths)
+    assert np.array(got).view(np.uint64) == np.array(want).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------

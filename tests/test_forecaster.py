@@ -16,9 +16,9 @@ from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelShapeError, ModelVersionError,
                                  branch_param_names, forecast_batch, forecast_next,
                                  init_model, load_model, model_backward, model_forward,
-                                 param_count, param_layout, save_model)
+                                 param_layout, save_model)
 
-from conftest import rnn_cell_step
+from conftest import param_count, rnn_cell_step
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 
@@ -388,9 +388,13 @@ def test_load_version_mismatch(tmp_path):
     v2.write_text(json.dumps(_as_v2(*_saved(v2)), indent=1) + "\n")
     header, arrays = _saved(v3)
     _write(v3, _as_v3(header), arrays)
-    for path, version in ((v0, "v0"), (v1, "v1"), (v2, "v2"), (v3, "v3")):
+    for path, version in ((v0, "v0"), (v3, "v3")):
         with pytest.raises(ModelVersionError, match=rf"gridcast-model-{version}.*re-train"):
             load_model(path)
+    for path in (v1, v2):  # only the first line, "{", is read
+        with pytest.raises(ModelParseError, match="re-train") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
 
 
 def test_load_shape_inconsistency(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -327,6 +329,26 @@ def test_stacked_rnn_gradients_match_finite_differences():
         for l in range(2):
             for gi, arr in enumerate(params[l]):
                 assert rel_err(grads[l][gi], central_diff(loss, arr)) < 1e-4
+
+
+def test_stacked_rnn_forward_retains_one_state_buffer_per_layer(rng):
+    """What the forward keeps alive is the (r, B, D) copy of the input and
+    each layer's (r, B, H) states, no pre-activations beside them: at
+    D = H and L = 3 that is L + 1 buffers of r*B*H floats."""
+    b, h, r, n_layers = 64, 32, 10, 3
+    x = rng.normal(size=(b, h, r))
+    params = [(rng.normal(size=(h, h)), rng.normal(size=(h, h)), rng.normal(size=h))
+              for _ in range(n_layers)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = stacked_rnn_forward(x, params)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    # half a buffer of slack for the cache's tuples and lists
+    assert retained / (r * b * h * 8) < n_layers + 1.5
 
 
 def test_layer_determinism(rng):
