@@ -64,10 +64,14 @@ def cmd_gen_data(args):
         cfg = SyntheticConfig(n_buses=args.buses, length=args.length, period=args.period,
                               noise_std_magnitude=args.noise, noise_std_angle=args.angle_noise,
                               coupling=args.coupling, seed=args.seed)
-        # generation reads only flags: a non-finite series is a usage error
-        series = generate_synthetic_series(cfg)
+        # generation reads only flags, so each error it raises is a usage error
+        with np.errstate(over="raise", invalid="raise"):
+            series = generate_synthetic_series(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except FloatingPointError as exc:  # an ArithmeticError, not a ValueError
+        raise UsageError(f"the series overflows float64 ({exc}): lower --noise, "
+                         "--angle-noise or --coupling") from None
     save_series(series, args.out)
     _write_manifest(args.out, "gen-data", args, [args.seed], [], [args.out], t0)
     print(f"wrote {len(series)} instances x {2 * args.buses} features to {args.out}")
@@ -80,8 +84,7 @@ def cmd_gen_data(args):
 
 # (flag, argparse dest, Hyperparams field) of each training flag
 TRAINING_FLAGS = (("--epochs", "epochs", "epochs"), ("--batch", "batch", "batch_size"),
-                  ("--lr", "lr", "learning_rate"), ("--seed", "seed", "seed"),
-                  ("--freeze-branch", "freeze_branch", "freeze_branch"))
+                  ("--lr", "lr", "learning_rate"), ("--seed", "seed", "seed"))
 
 
 def _checked(flag, value, check):
@@ -109,12 +112,9 @@ def _hyperparams_from(args):
 def cmd_train(args):
     t0 = time.perf_counter()
     hp = _hyperparams_from(args)
-    # the --lag and --freeze-branch rules do not depend on the bus count, so a
-    # one-bus config checks them before the data file is read
-    probe = _checked("--lag", args.lag,
-                     lambda lag: ModelConfig(n_buses=1, lag_r=lag, kind=args.baseline))
-    _checked("--freeze-branch", args.freeze_branch,
-             lambda branch: training.frozen_param_names(probe, branch))
+    # the --lag rule does not depend on the bus count, so a one-bus config
+    # checks it before the data file is read
+    _checked("--lag", args.lag, lambda lag: ModelConfig(n_buses=1, lag_r=lag, kind=args.baseline))
     series = load_series(args.data)
     config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
     model, report, *_ = training.fit_forecaster(
@@ -167,9 +167,6 @@ def cmd_eval(args):
         retrain[kind] = model.config
     if "rnn-only" in compare:
         retrain["rnn-only"] = replace(model.config, kind=RNN_ONLY)
-    for config in retrain.values():  # a missing branch, or nothing left to train
-        _checked("--freeze-branch", args.freeze_branch,
-                 lambda branch: training.frozen_param_names(config, branch))
 
     series = load_series(args.data)
     if series.n_buses != n:
@@ -275,7 +272,6 @@ def _training_parser(hp):
     p.add_argument("--lr", type=float, default=default("learning_rate"))
     p.add_argument("--seed", type=int, default=default("seed"))
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--freeze-branch", choices=["cnn", "rnn"], default=default("freeze_branch"))
     return p
 
 

@@ -120,13 +120,6 @@ def param_layout(cfg: ModelConfig):
     return layout
 
 
-def branch_param_names(cfg: ModelConfig, branch):
-    """Names of the parameters of the "cnn" (magnitude) or "rnn" (angle)
-    branch; an RNN-only model has no "cnn" parameters."""
-    prefixes = {"cnn": ("conv_", "dense1_", "dense2_"), "rnn": ("rnn", "dense3_")}[branch]
-    return [n for n in param_layout(cfg) if n.startswith(prefixes)]
-
-
 @dataclass
 class ForecastModel:
     config: ModelConfig

@@ -8,11 +8,11 @@ Training is fully deterministic given (data, hyperparameters, seed).
 `train` packs the parameters once into one contiguous float64 vector
 theta, in `forecaster.param_layout` order; the working model's params are
 reshaped views into it. Each batch's gradients are concatenated into one
-flat buffer g of the same layout (a frozen branch is a zeroed slice), and
-`adam_step` updates theta and the flat Adam moments in place with
-preallocated scratch, in the same operation order as the textbook formula
-with its fixed BETA1, BETA2 and EPSILON (only the learning rate is a
-hyperparameter), one cache-sized block of the vectors at a time.
+flat buffer g of the same layout, and `adam_step` updates theta and the
+flat Adam moments in place with preallocated scratch, in the same
+operation order as the textbook formula with its fixed BETA1, BETA2 and
+EPSILON (only the learning rate is a hyperparameter), one cache-sized
+block of the vectors at a time.
 """
 
 from __future__ import annotations
@@ -47,15 +47,12 @@ class Hyperparams:
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
-    freeze_branch: str = None  # None | "cnn" | "rnn"
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0 or self.seed < 0:
             raise ValueError("invalid hyperparameters")
-        if self.freeze_branch not in (None, "cnn", "rnn"):
-            raise ValueError(f"freeze_branch must be cnn/rnn, got {self.freeze_branch!r}")
 
 
 class AdamState:
@@ -131,21 +128,6 @@ def adam_step(theta, g, state: AdamState, hp: Hyperparams):
         np.subtract(p, a, out=p)
 
 
-def frozen_param_names(cfg: ModelConfig, freeze_branch):
-    """Names of the parameters `freeze_branch` holds fixed. Raises
-    ValueError when the model has no such branch or when freezing it would
-    leave nothing to train (both branches of an RNN-only model)."""
-    if freeze_branch is None:
-        return []
-    names = forecaster.branch_param_names(cfg, freeze_branch)
-    if not names:
-        raise ValueError(f"a {cfg.kind} model has no {freeze_branch} branch to freeze")
-    if len(names) == len(forecaster.param_layout(cfg)):
-        raise ValueError(f"freezing the {freeze_branch} branch of a {cfg.kind} model "
-                         "would leave no trainable parameter")
-    return names
-
-
 def train(model: ForecastModel, windows, hp: Hyperparams):
     """Minibatch Adam training on normalized (X, Y) arrays.
 
@@ -159,7 +141,6 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
         raise ValueError("need at least one training sample")
     cfg = model.config
     layout = forecaster.param_layout(cfg)
-    frozen = [layout[k][0] for k in frozen_param_names(cfg, hp.freeze_branch)]
     for k, (_, shape) in layout.items():
         if model.params[k].shape != shape:
             raise ValueError(f"parameter {k}: shape {model.params[k].shape} != {shape}")
@@ -182,8 +163,6 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
                 raise DivergenceError(epoch, bi, loss)
             grads = forecaster.model_backward(work, cache, d_pred)
             np.concatenate([grads[k].ravel() for k in layout], out=g)
-            for s in frozen:
-                g[s] = 0.0
             adam_step(theta, g, state, hp)
             total += loss * len(idx)
         epoch_losses.append(total / n)

@@ -12,6 +12,13 @@ def param_count(cfg):
     return sum(int(np.prod(shape)) for _, shape in param_layout(cfg).values())
 
 
+def branch_param_names(cfg, branch):
+    """Names of the parameters of the "cnn" (magnitude) or "rnn" (angle)
+    branch; an RNN-only model has no "cnn" parameters."""
+    prefixes = {"cnn": ("conv_", "dense1_", "dense2_"), "rnn": ("rnn", "dense3_")}[branch]
+    return [n for n in param_layout(cfg) if n.startswith(prefixes)]
+
+
 def batch_loss_and_grads(model, x, y):
     """Forward + backward over one normalized batch; returns (loss, grads).
     The gradcheck handle: the loss and gradients `train` steps on."""
@@ -193,11 +200,8 @@ def oracle_adam_step(params, grads, m, v, t, hp):
 
 def oracle_train(model, windows, hp):
     """Reference minibatch loop: a fresh ForecastModel and fresh per-name
-    arrays every step, frozen gradients replaced by zeros, and
-    oracle_adam_step. Returns (params, epoch_losses)."""
+    arrays every step, and oracle_adam_step. Returns (params, epoch_losses)."""
     x, y = (np.asarray(a, dtype=float) for a in windows)
-    frozen = (forecaster.branch_param_names(model.config, hp.freeze_branch)
-              if hp.freeze_branch else [])
     params = {k: p.copy() for k, p in model.params.items()}
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -210,8 +214,6 @@ def oracle_train(model, windows, hp):
             idx = order[start:start + hp.batch_size]
             work = ForecastModel(model.config, params, model.normalizer)
             loss, grads = batch_loss_and_grads(work, x[idx], y[idx])
-            for k in frozen:
-                grads[k] = np.zeros_like(grads[k])
             t += 1
             params, m, v = oracle_adam_step(params, grads, m, v, t, hp)
             total += loss * len(idx)

@@ -66,6 +66,17 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "x.csv", "--model-out", "m", "--freeze-branch", "rnn"],
+    ["eval", "--model", "m", "--data", "x.csv", "--runs", "2", "--freeze-branch", "cnn"],
+], ids=["train", "eval"])
+def test_freeze_branch_is_unknown_flag(argv):
+    """Every parameter trains: there is no --freeze-branch option."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["train", "--lr", "-1"], "--lr"),
     (["train", "--epochs", "-1"], "--epochs"),
@@ -81,20 +92,25 @@ def test_usage_error_exit_code():
     (["gen-data", "--noise", "nan"], None),
     (["gen-data", "--angle-noise", "inf"], None),
     (["gen-data", "--coupling", "inf"], None),
-    (["gen-data", "--buses", "2", "--length", "50", "--coupling", "1e308"], None),
+    (["gen-data", "--buses", "2", "--length", "50", "--coupling", "1e308"], "--coupling"),
+    (["gen-data", "--buses", "2", "--length", "50", "--noise", "1e308"], "--noise"),
+    (["gen-data", "--buses", "2", "--length", "50", "--angle-noise", "1e308"], "--angle-noise"),
 ], ids=["train-lr", "train-epochs", "train-lag", "train-fraction", "train-seed",
         "train-lr-nan", "train-lr-inf", "eval-lr-nan", "gen-data-buses", "gen-data-period",
         "gen-data-seed", "gen-data-noise-nan", "gen-data-angle-noise-inf",
-        "gen-data-coupling-inf", "gen-data-coupling-overflow"])
+        "gen-data-coupling-inf", "gen-data-coupling-overflow", "gen-data-noise-overflow",
+        "gen-data-angle-noise-overflow"])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
     """An out-of-range value is a usage error (exit 2); train and eval name
-    the flag and report it before reading any file (here none exists)."""
+    the flag and report it before reading any file (here none exists), and
+    a gen-data overflow names the generator flags."""
     io = {"train": ["--data", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")],
           "eval": ["--data", str(tmp_path / "nope.csv"), "--model", str(tmp_path / "m")],
           "gen-data": ["--out", str(tmp_path / "g.csv")]}[argv[0]]
     assert main(argv + io) == 2
     if flag:
-        assert f"error: {flag} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (flag if argv[0] == "gen-data" else f"error: {flag} ") in err
     assert not list(tmp_path.iterdir())
 
 
@@ -186,27 +202,6 @@ def test_train_rnn_only_baseline(tmp_path, dataset):
     assert load_model(out).config.kind == "rnn-only"
 
 
-@pytest.mark.parametrize("branch", ["cnn", "rnn"])
-def test_train_rnn_only_freeze_branch_is_usage_error(tmp_path, dataset, capsys, branch):
-    out = tmp_path / "rnn.json"
-    rc = main(["train", "--data", str(dataset), "--model-out", str(out),
-               "--epochs", "1", "--baseline", "rnn-only", "--freeze-branch", branch])
-    assert rc == 2
-    assert "--freeze-branch" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_train_hybrid_freeze_rnn_keeps_rnn_branch_at_init(tmp_path, dataset):
-    init, frozen = tmp_path / "init.json", tmp_path / "frozen.json"
-    common = ["train", "--data", str(dataset), "--seed", "2", "--freeze-branch", "rnn"]
-    assert main(common + ["--model-out", str(init), "--epochs", "0"]) == 0
-    assert main(common + ["--model-out", str(frozen), "--epochs", "1"]) == 0
-    a, b = load_model(init), load_model(frozen)
-    for name in a.params:
-        same = np.array_equal(a.params[name], b.params[name])
-        assert same == name.startswith(("rnn", "dense3_")), name
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -265,24 +260,7 @@ def test_eval_compare_rnn_only_needs_hybrid_model(tmp_path, dataset):
     assert rc == 2
 
 
-@pytest.mark.parametrize("branch", ["cnn", "rnn"])
-def test_eval_runs_freeze_branch_on_rnn_only_model_is_usage_error(tmp_path, dataset, branch):
-    rnn = tmp_path / "rnn.json"
-    assert main(["train", "--data", str(dataset), "--model-out", str(rnn),
-                 "--epochs", "0", "--baseline", "rnn-only"]) == 0
-    rc = main(["eval", "--model", str(rnn), "--data", str(dataset), "--runs", "2",
-               "--epochs", "1", "--freeze-branch", branch])
-    assert rc == 2
-
-
-def test_eval_compare_rnn_only_with_freeze_branch_is_usage_error(tmp_path, dataset, model_file):
-    rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
-               "--compare", "rnn-only", "--epochs", "1", "--freeze-branch", "cnn"])
-    assert rc == 2
-
-
-EVAL_TRAINING_FLAGS = [["--epochs", "0"], ["--batch", "7"], ["--lr", "5"], ["--seed", "9"],
-                       ["--freeze-branch", "rnn"]]
+EVAL_TRAINING_FLAGS = [["--epochs", "0"], ["--batch", "7"], ["--lr", "5"], ["--seed", "9"]]
 
 
 @pytest.mark.parametrize("flag", EVAL_TRAINING_FLAGS, ids=lambda flag: flag[0])
@@ -336,9 +314,8 @@ def rnn_model_file(tmp_path_factory, dataset):
     (None, ["--runs", "0"]),
     (None, ["--runs", "2", "--batch", "0"]),
     ("rnn-only", ["--compare", "rnn-only"]),
-    ("rnn-only", ["--runs", "2", "--epochs", "1", "--freeze-branch", "cnn"]),
 ], ids=["unknown-compare", "flag-without-retraining", "zero-runs", "out-of-range-batch",
-        "rnn-only-vs-rnn-only", "freeze-missing-branch"])
+        "rnn-only-vs-rnn-only"])
 def test_eval_usage_error_precedes_loading(tmp_path, rnn_model_file, model, flags):
     """Flag checks run before any load; checks on the model's kind run
     before the data file is read (here it does not exist)."""

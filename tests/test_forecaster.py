@@ -14,11 +14,11 @@ from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, ModelParseError,
                                  ModelShapeError, ModelVersionError,
-                                 branch_param_names, forecast_batch, forecast_next,
+                                 forecast_batch, forecast_next,
                                  init_model, load_model, model_backward, model_forward,
                                  param_layout, save_model)
 
-from conftest import param_count, rnn_cell_step
+from conftest import branch_param_names, param_count, rnn_cell_step
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 

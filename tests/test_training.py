@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast import evaluation, forecaster, training
@@ -15,7 +15,7 @@ from gridcast.training import (EPSILON, AdamState, DivergenceError, Hyperparams,
                                adam_step, fit_forecaster, joint_loss_and_grad,
                                multi_run, train)
 
-from conftest import (batch_loss_and_grads, central_diff, oracle_adam_step,
+from conftest import (batch_loss_and_grads, branch_param_names, central_diff, oracle_adam_step,
                       oracle_joint_loss_and_grad, oracle_train, param_count, rel_err)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
@@ -146,8 +146,6 @@ def test_adam_step_bit_identical_to_oracle(rows, steps, block):
 def test_hyperparam_validation():
     with pytest.raises(ValueError):
         Hyperparams(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        Hyperparams(freeze_branch="conv")
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +207,17 @@ def test_train_rejects_misshapen_parameter():
         train(model, tiny_data(), Hyperparams(epochs=1))
 
 
-@pytest.mark.parametrize("branch, message", [("cnn", "no cnn branch"),
-                                             ("rnn", "no trainable parameter")])
-def test_freeze_branch_of_rnn_only_model_raises(branch, message):
-    model = init_model(ModelConfig(**TINY, kind="rnn-only"), 1)
-    with pytest.raises(ValueError, match=message):
-        train(model, tiny_data(), Hyperparams(epochs=1, freeze_branch=branch))
-
-
 @given(kind=st.sampled_from(["hybrid", "rnn-only"]),
-       freeze=st.sampled_from([None, "cnn", "rnn"]),
        n_samples=st.integers(1, 9), batch_size=st.integers(1, 5),
        epochs=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-@example(kind="hybrid", freeze=None, n_samples=7, batch_size=3, epochs=2, seed=0)
-@example(kind="hybrid", freeze="rnn", n_samples=8, batch_size=5, epochs=2, seed=1)
-@example(kind="rnn-only", freeze=None, n_samples=9, batch_size=4, epochs=2, seed=2)
+@example(kind="hybrid", n_samples=7, batch_size=3, epochs=2, seed=0)
+@example(kind="hybrid", n_samples=8, batch_size=5, epochs=2, seed=1)
+@example(kind="rnn-only", n_samples=9, batch_size=4, epochs=2, seed=2)
 @settings(max_examples=30, deadline=None)
-def test_train_bit_identical_to_oracle_loop(kind, freeze, n_samples, batch_size, epochs, seed):
-    assume(kind == "hybrid" or freeze is None)
+def test_train_bit_identical_to_oracle_loop(kind, n_samples, batch_size, epochs, seed):
     model = init_model(ModelConfig(**TINY, kind=kind), seed)
     data = tiny_data(n_samples, seed)
-    hp = Hyperparams(epochs=epochs, batch_size=batch_size, seed=seed,
-                     learning_rate=1e-2, freeze_branch=freeze)
+    hp = Hyperparams(epochs=epochs, batch_size=batch_size, seed=seed, learning_rate=1e-2)
     trained, report = train(model, data, hp)
     want, want_losses = oracle_train(model, data, hp)
     assert list(trained.params) == list(want)
@@ -259,24 +246,14 @@ def test_branch_gradient_isolation(rng):
     d = np.zeros_like(pred)
     d[:, :n] = 2.0 * (pred[:, :n] - y[:, :n]) / (len(x) * n)
     grads = forecaster.model_backward(model, cache, d)
-    for name in forecaster.branch_param_names(model.config, "rnn"):
+    for name in branch_param_names(model.config, "rnn"):
         npt.assert_array_equal(grads[name], np.zeros_like(grads[name]))
     # angle-only loss: zero gradient on every CNN-branch parameter
     d = np.zeros_like(pred)
     d[:, n:] = 2.0 * (pred[:, n:] - y[:, n:]) / (len(x) * n)
     grads = forecaster.model_backward(model, cache, d)
-    for name in forecaster.branch_param_names(model.config, "cnn"):
+    for name in branch_param_names(model.config, "cnn"):
         npt.assert_array_equal(grads[name], np.zeros_like(grads[name]))
-
-
-def test_freeze_branch_keeps_parameters_fixed():
-    model = init_model(ModelConfig(**TINY), 2)
-    hp = Hyperparams(epochs=3, freeze_branch="cnn")
-    trained, _ = train(model, tiny_data(), hp)
-    for name in forecaster.branch_param_names(model.config, "cnn"):
-        npt.assert_array_equal(trained.params[name], model.params[name])
-    assert any(not np.array_equal(trained.params[n], model.params[n])
-               for n in forecaster.branch_param_names(model.config, "rnn"))
 
 
 def test_whole_model_gradient_matches_finite_differences():
