@@ -21,8 +21,8 @@ from . import evaluation, forecaster, training
 from .data_pipeline import (DataFormatError, SyntheticConfig, atomic_write,
                             build_windows, check_train_fraction, chronological_split,
                             generate_synthetic_series, load_series, save_series)
-from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig,
-                         ModelFormatError, load_model, save_model)
+from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig, load_model,
+                         save_model)
 from .training import DivergenceError, Hyperparams
 
 EXIT_OK = 0
@@ -336,7 +336,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataFormatError, ModelFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

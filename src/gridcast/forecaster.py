@@ -193,13 +193,13 @@ def model_backward(model: ForecastModel, cache, d_out):
     grads = {}
     d_head = d_out[:, n:] if cfg.kind == HYBRID else d_out
     (grads["dense3_w"], grads["dense3_b"]), d_top = layers.dense_backward(cache["dense3"], d_head)
-    rnn_grads, _ = layers.stacked_rnn_backward(cache["rnn"], d_top)
+    rnn_grads = layers.stacked_rnn_backward(cache["rnn"], d_top)
     if cfg.kind == HYBRID:
         (dw2, db2), d_d1 = layers.dense_backward(cache["dense2"], d_out[:, :n])
         (dw1, db1), d_flat = layers.dense_backward(cache["dense1"], d_d1)
         d_conv = layers.maxpool_backward(
             cache["pool"], d_flat.reshape(len(d_flat), cfg.conv_filters, -1))
-        (dcw, dcb), _ = layers.conv1d_backward(cache["conv"], d_conv)
+        dcw, dcb = layers.conv1d_backward(cache["conv"], d_conv)
         grads.update(conv_w=dcw, conv_b=dcb, dense1_w=dw1, dense1_b=db1,
                      dense2_w=dw2, dense2_b=db2)
     for l, (dwx, dwh, db) in enumerate(rnn_grads):

@@ -5,13 +5,15 @@ returns its output together with a cache object, and the matching backward
 consumes that cache plus the upstream gradient. Inputs carry a leading
 batch axis.
 
+A backward returns its parameter gradients, and dx only where a caller
+reads it (dense, maxpool): the conv and RNN inputs are data windows.
+
 The conv and RNN kernels are BLAS GEMMs. Input windows may arrive in any
 memory layout (C-ordered, or the time-major one of `build_windows` and
 `series.values[a:b].T`); each kernel copies into the layout its GEMMs read.
   * conv, on the (B, r, C) view xt: pre[:, q] = sum_j xt[:, q + j] @ w[:, :, j].T + b,
     one GEMM for all taps and columns, then shifted tap slices summed.
-    Backward: dw[..., j] = d_pre^T @ xt[:, j:j + p], and dx sums the
-    shifted taps of one d_pre @ w GEMM.
+    Backward: dw[..., j] = d_pre^T @ xt[:, j:j + p].
   * stacked RNN, layers outside and time inside on one (r, B, H) buffer
     per layer: a layer's input projection below @ wx.T + b is one GEMM for
     all r steps; only h[t - 1] @ wh.T stays in the step loop, and each
@@ -19,7 +21,8 @@ memory layout (C-ordered, or the time-major one of `build_windows` and
     computes a layer's ReLU mask once over its (r, B, H) states; each step
     then adds the gradient from above in place to the recurrent term
     d_pre[t] @ wh and writes d_h * mask[t - 1] straight into d_pre[t - 1].
-    dwx, dwh and d_below = d_pre @ wx are one GEMM each over r*B rows.
+    dwx, dwh and, for each layer above the first, d_below = d_pre @ wx
+    are one GEMM each over r*B rows.
 
 Conventions pinned here:
   * conv windows are ordered chronologically (earliest column pair first)
@@ -69,7 +72,7 @@ def conv1d_forward(x, w, b):
 
 def conv1d_backward(cache, d_out):
     x, w, out = cache
-    b_, c, r = x.shape
+    b_, c, _ = x.shape
     k, _, kernel = w.shape
     p = out.shape[2]
     d_pre = np.ascontiguousarray((d_out * (out > 0.0)).transpose(0, 2, 1)).reshape(b_ * p, k)
@@ -77,12 +80,7 @@ def conv1d_backward(cache, d_out):
     dw = np.empty_like(w)
     for j in range(kernel):
         dw[:, :, j] = d_pre.T @ xt[:, j:j + p].reshape(b_ * p, c)
-    db = d_pre.sum(axis=0)
-    d_taps = (d_pre @ w.transpose(0, 2, 1).reshape(k, kernel * c)).reshape(b_, p, kernel, c)
-    dxt = np.zeros((b_, r, c))
-    for j in range(kernel):
-        dxt[:, j:j + p] += d_taps[:, :, j]
-    return (dw, db), dxt.transpose(0, 2, 1)
+    return dw, d_pre.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ def stacked_rnn_forward(x, layer_params):
 
 def stacked_rnn_backward(cache, d_top):
     """Backpropagation through time; d_top is the gradient w.r.t. the final
-    top-layer hidden state. Returns ([(dwx, dwh, db) per layer], dx)."""
+    top-layer hidden state. Returns [(dwx, dwh, db) per layer]."""
     x, layer_params, hidden, xs = cache
     b_, _, r = x.shape
     grads = [None] * len(layer_params)
@@ -202,5 +200,6 @@ def stacked_rnn_backward(cache, d_top):
         grads[l] = (rows.T @ below.reshape(r * b_, n_in),
                     rows[b_:].T @ h[:-1].reshape((r - 1) * b_, n_out),
                     rows.sum(axis=0))
-        d_states = (rows @ wx).reshape(r, b_, n_in)
-    return grads, d_states.transpose(1, 2, 0)
+        if l:
+            d_states = (rows @ wx).reshape(r, b_, n_in)
+    return grads

@@ -90,16 +90,11 @@ def oracle_conv1d_forward(x, w, b):
 
 
 def oracle_conv1d_backward(x, w, pre, d_out):
-    """Reference conv backward: einsum weight gradient and a per-position
-    input-gradient loop. Returns ((dw, db), dx)."""
-    kernel = w.shape[2]
+    """Reference conv backward: one einsum over the stacked windows for the
+    weight gradient. Returns (dw, db)."""
     d_pre = d_out * (pre > 0.0)
-    dw = np.einsum("bkp,bcjp->kcj", d_pre, _conv_windows(x, kernel))
-    db = d_pre.sum(axis=(0, 2))
-    dx = np.zeros(x.shape)
-    for p in range(pre.shape[2]):
-        dx[:, :, p:p + kernel] += np.einsum("bk,kcj->bcj", d_pre[:, :, p], w)
-    return (dw, db), dx
+    dw = np.einsum("bkp,bcjp->kcj", d_pre, _conv_windows(x, w.shape[2]))
+    return dw, d_pre.sum(axis=(0, 2))
 
 
 def oracle_maxpool_forward(x):
@@ -144,11 +139,10 @@ def oracle_stacked_rnn_forward(x, layer_params):
 def oracle_stacked_rnn_backward(x, layer_params, hidden, d_top):
     """Reference BPTT: time outside, layers inside, one step at a time.
     A state is positive exactly where its pre-activation is, so the ReLU
-    mask is read off the hidden states. Returns ([(dwx, dwh, db)], dx)."""
+    mask is read off the hidden states. Returns [(dwx, dwh, db)]."""
     n_layers = len(layer_params)
     r = x.shape[2]
     grads = [tuple(np.zeros_like(a) for a in layer) for layer in layer_params]
-    dx = np.zeros(x.shape)
     # d_h[l] holds the gradient w.r.t. hidden[l][t + 1] while processing step t
     d_h = [np.zeros_like(hidden[l][0]) for l in range(n_layers)]
     d_h[-1] = np.array(d_top, dtype=float, copy=True)
@@ -163,10 +157,8 @@ def oracle_stacked_rnn_backward(x, layer_params, hidden, d_top):
             db += d_pre.sum(axis=0)
             if l > 0:
                 d_h[l - 1] += d_pre @ wx
-            else:
-                dx[:, :, t] += d_pre @ wx
             d_h[l] = d_pre @ wh
-    return grads, dx
+    return grads
 
 
 def oracle_joint_loss_and_grad(pred, target, n):

@@ -41,6 +41,7 @@ def _probe_check(forward, backward, arrays, probe):
     """Compare analytic grads against central differences for every array."""
     _, cache = forward()
     analytic = backward(cache, probe)
+    assert len(analytic) == len(arrays)
     for arr, grad in zip(arrays, analytic):
         def loss():
             return float(np.sum(forward()[0] * probe))
@@ -55,10 +56,8 @@ def _layer_gradcheck(seed):
     w = g.normal(size=(2, 3, 2))
     b = g.normal(size=2)
     probe = g.normal(size=(2, 2, 4))
-    _probe_check(lambda: layers.conv1d_forward(x, w, b),
-                 lambda c, p: (lambda pg, dx: (pg[0], pg[1], dx))(
-                     *layers.conv1d_backward(c, p)),
-                 (w, b, x), probe)
+    _probe_check(lambda: layers.conv1d_forward(x, w, b), layers.conv1d_backward,
+                 (w, b), probe)
     # maxpool
     x = g.normal(size=(2, 3, 7))
     probe = g.normal(size=(2, 3, 3))
@@ -83,10 +82,9 @@ def _layer_gradcheck(seed):
     probe = g.normal(size=(2, 4))
     flat = [a for layer in params for a in layer]
     _probe_check(lambda: layers.stacked_rnn_forward(x, params),
-                 lambda c, p: (lambda pg, dx: tuple(
-                     a for layer in pg for a in layer) + (dx,))(
-                     *layers.stacked_rnn_backward(c, p)),
-                 flat + [x], probe)
+                 lambda c, p: [a for layer in layers.stacked_rnn_backward(c, p)
+                               for a in layer],
+                 flat, probe)
 
 
 def _kink_margin(model, x):

@@ -195,7 +195,7 @@ def test_flatten_is_map_major_forward_and_backward(rng):
     d_pooled = np.empty_like(pooled)
     for col, (f, j) in enumerate(columns):
         d_pooled[:, f, j] = d_flat[:, col]
-    (dcw, dcb), _ = layers.conv1d_backward(
+    dcw, dcb = layers.conv1d_backward(
         conv_cache, layers.maxpool_backward(pool_cache, d_pooled))
     npt.assert_allclose(grads["conv_w"], dcw, rtol=0, atol=1e-12)
     npt.assert_allclose(grads["conv_b"], dcb, rtol=0, atol=1e-12)
