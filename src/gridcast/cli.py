@@ -19,8 +19,8 @@ import numpy as np
 
 from . import evaluation, forecaster, training
 from .data_pipeline import (DataFormatError, SyntheticConfig, atomic_write,
-                            build_windows, check_train_fraction, chronological_split,
-                            generate_synthetic_series, load_series, save_series)
+                            check_train_fraction, generate_synthetic_series, load_series,
+                            save_series, split_windows)
 from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig, load_model,
                          save_model)
 from .training import DivergenceError, Hyperparams
@@ -72,6 +72,9 @@ def cmd_gen_data(args):
     except FloatingPointError as exc:  # an ArithmeticError, not a ValueError
         raise UsageError(f"the series overflows float64 ({exc}): lower --noise, "
                          "--angle-noise or --coupling") from None
+    except MemoryError:
+        raise UsageError(f"the series of --buses {args.buses} and --length {args.length} "
+                         "does not fit in memory: lower either") from None
     save_series(series, args.out)
     _write_manifest(args.out, "gen-data", args, [args.seed], [], [args.out], t0)
     print(f"wrote {len(series)} instances x {2 * args.buses} features to {args.out}")
@@ -117,8 +120,8 @@ def cmd_train(args):
     _checked("--lag", args.lag, lambda lag: ModelConfig(n_buses=1, lag_r=lag, kind=args.baseline))
     series = load_series(args.data)
     config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
-    model, report, *_ = training.fit_forecaster(
-        series, config, hp, train_fraction=args.train_fraction)
+    data = split_windows(series, args.lag, args.train_fraction)
+    model, report, _ = training.fit_forecaster(data, config, hp)
     save_model(model, args.model_out)
     report_path = args.report_out or (args.model_out + ".report.json")
     with atomic_write(report_path) as fh:
@@ -142,8 +145,9 @@ def _mean_report(reports):
 
 
 def cmd_eval(args):
-    """One table row per method. A retrained method (the model's kind with
-    --runs > 1, rnn-only) runs from the same seeds; its row is the mean."""
+    """One table row per method, the mean of the method's runs on the one
+    split: persistence and the loaded model are one run each, a retrained
+    method (the model's kind with --runs > 1, rnn-only) one per seed."""
     t0 = time.perf_counter()
     compare = list(dict.fromkeys(c.strip() for c in (args.compare or "").split(",") if c.strip()))
     for c in compare:
@@ -171,28 +175,28 @@ def cmd_eval(args):
     series = load_series(args.data)
     if series.n_buses != n:
         raise DataFormatError(f"model expects {n} buses, data has {series.n_buses}")
-    r = model.config.lag_r
-    _, test_part = chronological_split(series, args.train_fraction, min_len=r + 1)
-    x_test, y_test = build_windows(test_part, r)
+    data = split_windows(series, model.config.lag_r, args.train_fraction)
+    x_test, y_test = data[1]
 
-    reports, aggregates = {}, {}
+    scored, n_diverged = {}, {}  # method -> [(MetricsReport, ErrorTrace) of each run]
     for method in [kind] + compare:
         if method == "persistence":
-            preds = evaluation.persistence_predictions(x_test)
-            reports[method], _ = evaluation.evaluate_predictions(preds, y_test, n)
+            runs = [evaluation.persistence_predictions(x_test)]
         elif method in retrain:
-            aggregates[method], runs, run_trace = training.multi_run(
-                series, retrain[method], hp, args.runs, args.train_fraction)
-            reports[method] = _mean_report(runs)
+            runs, n_diverged[method] = training.multi_run(data, retrain[method], hp, args.runs)
         else:
-            preds = forecaster.forecast_batch(model, x_test)
-            reports[method], run_trace = evaluation.evaluate_predictions(preds, y_test, n)
-        if method == kind:
-            trace = run_trace
+            runs = [forecaster.forecast_batch(model, x_test)]
+        scored[method] = [evaluation.evaluate_predictions(preds, y_test, n) for preds in runs]
 
-    body = evaluation.comparison_table(reports)
+    body = evaluation.comparison_table(
+        {method: _mean_report([rep for rep, _ in runs]) for method, runs in scored.items()})
     if args.runs > 1:
-        for method, aggregate in aggregates.items():
+        for method, diverged in n_diverged.items():
+            scores = [rep.nrmse for rep, _ in scored[method]]
+            aggregate = {"n_runs": args.runs, "n_completed": len(scores),
+                         "n_diverged": diverged, "base_seed": hp.seed,
+                         "nrmse_mean": float(np.mean(scores)), "nrmse_std": float(np.std(scores)),
+                         "nrmse_min": float(np.min(scores)), "nrmse_max": float(np.max(scores))}
             label = "" if method == kind else f" ({method})"
             body += f"\naggregate over independent runs{label}:\n"
             body += json.dumps(aggregate, indent=1) + "\n"
@@ -202,10 +206,10 @@ def cmd_eval(args):
             fh.write(body)
         outputs.append(args.report_out)
     if args.trace_out:
-        evaluation.export_trace_csv(trace, args.trace_out)
+        evaluation.export_trace_csv(scored[kind][0][1], args.trace_out)
         outputs.append(args.trace_out)
     primary = args.report_out or args.trace_out or (args.model + ".eval")
-    seeds = list(range(hp.seed, hp.seed + args.runs))
+    seeds = list(range(hp.seed, hp.seed + args.runs)) if retrain else []
     _write_manifest(primary, "eval", args, seeds,
                     [args.model, args.data], outputs, t0)
     print(body, end="")

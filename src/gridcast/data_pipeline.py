@@ -1,4 +1,5 @@
-"""Dataset handling: CSV ingest, chronological split, lag windowing,
+"""Dataset handling: CSV ingest, lag windowing, the one chronological split
+of a command (`split_windows`, which also windows the test partition),
 per-feature normalization, and a synthetic grid-state generator.
 
 A state series stores, per time instance, n voltage magnitudes (p.u.)
@@ -128,11 +129,8 @@ def check_train_fraction(train_fraction):
 
 
 def chronological_split(series: StateSeries, train_fraction=0.8, min_len=2):
-    """First floor(T * fraction) instances for training, rest for test.
-
-    min_len guards both partitions; callers pass lag + 1 so every
-    partition can produce at least one window.
-    """
+    """First floor(T * fraction) instances for training, rest for test;
+    each partition must hold at least min_len instances."""
     check_train_fraction(train_fraction)
     t = len(series)
     n_train = int(math.floor(t * train_fraction))
@@ -157,6 +155,13 @@ def build_windows(series: StateSeries, r):
     x = np.stack([v[i:i + r].T for i in range(n_samples)], axis=0)
     y = v[r:].copy()
     return x, y
+
+
+def split_windows(series: StateSeries, r, train_fraction=0.8):
+    """(training partition, (X, Y) test windows in physical units); both
+    partitions hold at least r + 1 instances."""
+    train_part, test_part = chronological_split(series, train_fraction, min_len=r + 1)
+    return train_part, build_windows(test_part, r)
 
 
 # ---------------------------------------------------------------------------

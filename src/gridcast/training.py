@@ -1,5 +1,6 @@
-"""Training: joint MSE loss over both heads, Adam, the minibatch loop,
-and the multi-seed averaging protocol.
+"""Training: joint MSE loss over both heads, Adam, the minibatch loop, the
+fit on one `data_pipeline.split_windows` split, and the independent-runs
+protocol, which returns each seed's test predictions for callers to score.
 
 The loss for one sample is mse(magnitude head) + mse(angle head) in
 normalized units, unweighted; a batch averages the per-sample losses.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import evaluation, forecaster
-from .data_pipeline import StateSeries, build_windows, chronological_split, fit_normalizer
+from .data_pipeline import StateSeries, build_windows, fit_normalizer
 from .forecaster import ForecastModel, ModelConfig
 
 
@@ -171,58 +172,34 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
     return work, TrainReport(epoch_losses, asdict(hp), n, float(final_loss))
 
 
-def fit_forecaster(series, config: ModelConfig, hp: Hyperparams, train_fraction=0.8):
-    """Full pipeline on a raw series: chronological split, normalizer fit on
-    the training partition only, windowing inside each partition, training,
-    and test evaluation. Returns (model, report, test windows, test targets,
-    test predictions), the predictions in physical units."""
-    r = config.lag_r
-    train_part, test_part = chronological_split(series, train_fraction, min_len=r + 1)
+def fit_forecaster(data, config: ModelConfig, hp: Hyperparams):
+    """Fit on `split_windows`' (training partition, test windows): the
+    normalizer and the windows of the training partition, training, and test
+    forecasts. Returns (model, report, test predictions in physical units)."""
+    train_part, (x_test, y_test) = data
     norm = fit_normalizer(train_part)
     x_train, y_train = build_windows(
-        StateSeries(series.n_buses, norm.apply(train_part.values)), r)
+        StateSeries(train_part.n_buses, norm.apply(train_part.values)), config.lag_r)
     model = forecaster.init_model(config, hp.seed, norm)
     model, report = train(model, (x_train, y_train), hp)
-    x_test, y_test = build_windows(test_part, r)
     preds = forecaster.forecast_batch(model, x_test)
     report.test_nrmse = evaluation.normalized_rmse(preds, y_test)
-    return model, report, x_test, y_test, preds
+    return model, report, preds
 
 
-def multi_run(series, config: ModelConfig, hp: Hyperparams, n_runs=20, train_fraction=0.8):
-    """Independent-runs protocol: n_runs trainings from seeds seed..seed+n-1,
-    each evaluated on the test partition.
-
-    Returns (aggregate, reports, trace): the test-nRMSE aggregate, one
-    MetricsReport per completed run in seed order, and the ErrorTrace of
-    the first completed run. Diverged runs are excluded and counted; when
+def multi_run(data, config: ModelConfig, hp: Hyperparams, n_runs=20):
+    """`fit_forecaster` on one split from seeds seed..seed+n_runs-1. Returns
+    (test predictions of each completed run in seed order, n_diverged); when
     every run diverges, the last DivergenceError is raised."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    reports, trace, n_diverged = [], None, 0
+    runs, n_diverged = [], 0
     for i in range(n_runs):
         try:
-            model, _, _, y_test, preds = fit_forecaster(
-                series, config, replace(hp, seed=hp.seed + i), train_fraction)
+            runs.append(fit_forecaster(data, config, replace(hp, seed=hp.seed + i))[2])
         except DivergenceError as exc:
             n_diverged += 1
             last_divergence = exc
-            continue
-        metrics, run_trace = evaluation.evaluate_predictions(preds, y_test, config.n_buses)
-        reports.append(metrics)
-        if trace is None:
-            trace = run_trace
-    if not reports:
+    if not runs:
         raise last_divergence
-    scores = [m.nrmse for m in reports]
-    aggregate = {
-        "n_runs": n_runs,
-        "n_completed": len(reports),
-        "n_diverged": n_diverged,
-        "base_seed": hp.seed,
-        "nrmse_mean": float(np.mean(scores)),
-        "nrmse_std": float(np.std(scores)),
-        "nrmse_min": float(np.min(scores)),
-        "nrmse_max": float(np.max(scores)),
-    }
-    return aggregate, reports, trace
+    return runs, n_diverged

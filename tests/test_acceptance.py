@@ -13,7 +13,7 @@ from gridcast import forecaster, layers, training
 from gridcast.cli import main as cli_main
 from gridcast.data_pipeline import (SyntheticConfig, build_windows,
                                     chronological_split, fit_normalizer,
-                                    generate_synthetic_series)
+                                    generate_synthetic_series, split_windows)
 from gridcast.evaluation import (comparison_table, evaluate_predictions,
                                  export_trace_csv, normalized_rmse,
                                  persistence_predictions)
@@ -227,11 +227,12 @@ def shipped_series():
 
 def test_criterion_5_beats_persistence(shipped_series):
     cfg = ModelConfig(n_buses=14, lag_r=10)
+    data = split_windows(shipped_series, cfg.lag_r)
+    x_test, y_test = data[1]
+    pers = normalized_rmse(persistence_predictions(x_test), y_test)
     ratios = []
     for seed in range(5):
-        _, report, x_test, y_test, _ = fit_forecaster(
-            shipped_series, cfg, Hyperparams(epochs=15, seed=seed))
-        pers = normalized_rmse(persistence_predictions(x_test), y_test)
+        _, report, _ = fit_forecaster(data, cfg, Hyperparams(epochs=15, seed=seed))
         ratios.append(report.test_nrmse / pers)
     mean_ratio = float(np.mean(ratios))
     assert mean_ratio <= 0.9, ratios
@@ -247,10 +248,10 @@ def test_criterion_6_baseline_parity_harness(shipped_series):
     hp = Hyperparams(epochs=5, seed=0)
     hybrid_cfg = ModelConfig(n_buses=14, lag_r=10)
     rnn_cfg = ModelConfig(n_buses=14, lag_r=10, kind=forecaster.RNN_ONLY)
-    hmodel, _, x_test, y_test, _ = fit_forecaster(shipped_series, hybrid_cfg, hp)
-    rmodel, _, _, _, _ = fit_forecaster(shipped_series, rnn_cfg, hp)
-    h_rep, _ = evaluate_predictions(forecaster.forecast_batch(hmodel, x_test), y_test, 14)
-    r_rep, _ = evaluate_predictions(forecaster.forecast_batch(rmodel, x_test), y_test, 14)
+    data = split_windows(shipped_series, hybrid_cfg.lag_r)
+    x_test, y_test = data[1]
+    h_rep, _ = evaluate_predictions(fit_forecaster(data, hybrid_cfg, hp)[2], y_test, 14)
+    r_rep, _ = evaluate_predictions(fit_forecaster(data, rnn_cfg, hp)[2], y_test, 14)
     p_rep, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 14)
     table = comparison_table({"hybrid": h_rep, "rnn-only": r_rep,
                               "persistence": p_rep})

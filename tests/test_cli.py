@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridcast.cli import main
-from gridcast.data_pipeline import build_windows, chronological_split, load_series
+from gridcast.data_pipeline import load_series, split_windows
 from gridcast.evaluation import (comparison_table, evaluate_predictions,
                                  persistence_predictions)
 from gridcast.forecaster import RNN_ONLY, load_model
@@ -95,22 +95,25 @@ def test_freeze_branch_is_unknown_flag(argv):
     (["gen-data", "--buses", "2", "--length", "50", "--coupling", "1e308"], "--coupling"),
     (["gen-data", "--buses", "2", "--length", "50", "--noise", "1e308"], "--noise"),
     (["gen-data", "--buses", "2", "--length", "50", "--angle-noise", "1e308"], "--angle-noise"),
+    (["gen-data", "--buses", "1", "--length", "100000000000000000"], "--buses --length"),
 ], ids=["train-lr", "train-epochs", "train-lag", "train-fraction", "train-seed",
         "train-lr-nan", "train-lr-inf", "eval-lr-nan", "gen-data-buses", "gen-data-period",
         "gen-data-seed", "gen-data-noise-nan", "gen-data-angle-noise-inf",
         "gen-data-coupling-inf", "gen-data-coupling-overflow", "gen-data-noise-overflow",
-        "gen-data-angle-noise-overflow"])
+        "gen-data-angle-noise-overflow", "gen-data-beyond-memory"])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
     """An out-of-range value is a usage error (exit 2); train and eval name
     the flag and report it before reading any file (here none exists), and
-    a gen-data overflow names the generator flags."""
+    a gen-data overflow or a series too large to allocate names the
+    generator flags (each of `flag`'s words)."""
     io = {"train": ["--data", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")],
           "eval": ["--data", str(tmp_path / "nope.csv"), "--model", str(tmp_path / "m")],
           "gen-data": ["--out", str(tmp_path / "g.csv")]}[argv[0]]
     assert main(argv + io) == 2
     if flag:
         err = capsys.readouterr().err
-        assert (flag if argv[0] == "gen-data" else f"error: {flag} ") in err
+        for name in flag.split():
+            assert (name if argv[0] == "gen-data" else f"error: {name} ") in err
     assert not list(tmp_path.iterdir())
 
 
@@ -220,14 +223,18 @@ def test_eval_report_and_trace(tmp_path, dataset, model_file):
 
 
 def test_eval_deterministic_report_bytes(tmp_path, dataset, model_file):
-    reports = []
-    for name in ("r1.txt", "r2.txt"):
-        report = tmp_path / name
-        rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
-                   "--report-out", str(report), "--compare", "persistence"])
-        assert rc == 0
-        reports.append(report.read_bytes())
-    assert reports[0] == reports[1]
+    """Reruns write the same report and trace bytes, with and without
+    retraining (a two-run eval retrains the hybrid and rnn-only per seed)."""
+    for flags in (["--compare", "persistence"],
+                  ["--runs", "2", "--epochs", "1", "--compare", "persistence,rnn-only"]):
+        outputs = []
+        for rerun in ("1", "2"):
+            report, trace = tmp_path / f"r{rerun}.txt", tmp_path / f"t{rerun}.csv"
+            rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
+                       "--report-out", str(report), "--trace-out", str(trace)] + flags)
+            assert rc == 0
+            outputs.append((report.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1], flags
 
 
 def test_eval_multi_run_aggregate(tmp_path, dataset, model_file):
@@ -285,6 +292,31 @@ def test_eval_training_flags_accepted_when_retraining(tmp_path, dataset, model_f
     assert "aggregate over independent runs" in report.read_text()
 
 
+@pytest.mark.parametrize("flags, seeds", [
+    (["--compare", "persistence"], []),
+    (["--compare", "rnn-only", "--epochs", "1", "--seed", "3"], [3]),
+], ids=["no-retrain", "rnn-only"])
+def test_eval_manifest_lists_only_trained_seeds(tmp_path, dataset, model_file, flags, seeds):
+    report = tmp_path / "r.txt"
+    assert main(["eval", "--model", str(model_file), "--data", str(dataset),
+                 "--report-out", str(report)] + flags) == 0
+    assert json.loads((tmp_path / "r.txt.manifest.json").read_text())["seeds"] == seeds
+
+
+def test_train_and_eval_score_the_same_split(tmp_path, dataset, capsys):
+    """train's test nRMSE is the model row's nRMSE cell of eval on the same
+    data and --train-fraction."""
+    model = tmp_path / "m.gcm"
+    assert main(["train", "--data", str(dataset), "--model-out", str(model),
+                 "--epochs", "1", "--train-fraction", "0.7"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(dataset),
+                 "--train-fraction", "0.7", "--compare", "persistence"]) == 0
+    row = re.search(r"^hybrid .*$", capsys.readouterr().out, re.M).group(0)
+    nrmse = json.loads((tmp_path / "m.gcm.report.json").read_text())["test_nrmse"]
+    assert row.split()[5] == f"{nrmse:.6e}"
+
+
 def test_eval_shape_mismatch_exit_code(tmp_path, model_file):
     other = tmp_path / "other.csv"
     assert main(["gen-data", "--buses", "5", "--length", "60",
@@ -330,17 +362,18 @@ def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, mo
                "--report-out", str(report), "--runs", "2", "--epochs", "1", "--seed", "4",
                "--compare", "persistence,rnn-only"])
     assert rc == 0
-    series, config = load_series(dataset), load_model(model_file).config
+    config = load_model(model_file).config
+    data = split_windows(load_series(dataset), config.lag_r)
+    x_test, y_test = data[1]
     hp = Hyperparams(epochs=1, seed=4)
 
     def mean_row(cfg):
-        _, runs, _ = multi_run(series, cfg, hp, 2)
-        assert len(runs) == 2 and runs[0].nrmse != runs[1].nrmse
+        preds, n_diverged = multi_run(data, cfg, hp, 2)
+        runs = [evaluate_predictions(p, y_test, 3)[0] for p in preds]
+        assert n_diverged == 0 and len(runs) == 2 and runs[0].nrmse != runs[1].nrmse
         return replace(runs[0], **{f.name: float(np.mean([getattr(m, f.name) for m in runs]))
                                    for f in fields(runs[0]) if f.name != "n_test_windows"})
 
-    _, test_part = chronological_split(series, min_len=config.lag_r + 1)
-    x_test, y_test = build_windows(test_part, config.lag_r)
     persistence, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 3)
     table = comparison_table({"hybrid": mean_row(config), "persistence": persistence,
                               "rnn-only": mean_row(replace(config, kind=RNN_ONLY))})

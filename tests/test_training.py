@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast import evaluation, forecaster, training
-from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series
+from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series, split_windows
 from gridcast.forecaster import ModelConfig, init_model, param_layout
 from gridcast.training import (EPSILON, AdamState, DivergenceError, Hyperparams,
                                adam_step, fit_forecaster, joint_loss_and_grad,
@@ -288,7 +288,8 @@ def test_memorization_small():
 def test_first_epoch_loss_decreases_on_synthetic_default():
     series = generate_synthetic_series(SyntheticConfig(n_buses=4, length=200, seed=0))
     cfg = ModelConfig(n_buses=4, lag_r=10)
-    model, report, _, _, _ = fit_forecaster(series, cfg, Hyperparams(epochs=2, seed=0))
+    _, report, _ = fit_forecaster(split_windows(series, cfg.lag_r), cfg,
+                                  Hyperparams(epochs=2, seed=0))
     assert report.epoch_losses[1] < report.epoch_losses[0]
 
 
@@ -304,30 +305,47 @@ def small_series():
 def test_multi_run_single_equals_run(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
-    agg, reports, trace = multi_run(small_series, cfg, hp, n_runs=1)
-    model, report, x_test, y_test, preds = fit_forecaster(small_series, cfg, hp)
+    data = split_windows(small_series, cfg.lag_r)
+    runs, n_diverged = multi_run(data, cfg, hp, n_runs=1)
+    model, report, preds = fit_forecaster(data, cfg, hp)
+    x_test, y_test = data[1]
     npt.assert_array_equal(preds, forecaster.forecast_batch(model, x_test))
-    assert agg["n_completed"] == 1
-    assert agg["nrmse_mean"] == reports[0].nrmse == report.test_nrmse
-    assert agg["nrmse_std"] == 0.0
-    expected, expected_trace = evaluation.evaluate_predictions(
-        forecaster.forecast_batch(model, x_test), y_test, cfg.n_buses)
-    assert reports[0] == expected
-    npt.assert_array_equal(trace.ae_va, expected_trace.ae_va)
+    assert n_diverged == 0 and len(runs) == 1
+    npt.assert_array_equal(runs[0], preds)
+    assert report.test_nrmse == evaluation.normalized_rmse(preds, y_test)
 
 
-def test_multi_run_aggregate_consistency(small_series):
+def test_multi_run_seeds_are_distinct_and_reproducible(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
-    agg, reports, _ = multi_run(small_series, cfg, hp, n_runs=3)
-    assert agg["n_completed"] == 3
-    assert agg["nrmse_min"] <= agg["nrmse_mean"] <= agg["nrmse_max"]
-    agg2, _, _ = multi_run(small_series, cfg, hp, n_runs=3)
-    assert agg == agg2
-    # distinct seeds per run: run i is the protocol at seed 1 + i
-    for i, got in enumerate(reports):
-        model, _, x_test, y_test, _ = fit_forecaster(small_series, cfg, replace(hp, seed=1 + i))
-        assert got == evaluation.evaluate_predictions(
-            forecaster.forecast_batch(model, x_test), y_test, cfg.n_buses)[0]
-    assert len({r.nrmse for r in reports}) == 3
+    data = split_windows(small_series, cfg.lag_r)
+    runs, n_diverged = multi_run(data, cfg, hp, n_runs=3)
+    assert n_diverged == 0 and len(runs) == 3
+    runs2, _ = multi_run(data, cfg, hp, n_runs=3)
+    for got, again in zip(runs, runs2, strict=True):
+        npt.assert_array_equal(got, again)
+    # distinct seeds per run: run i is the fit at seed 1 + i
+    for i, got in enumerate(runs):
+        npt.assert_array_equal(got, fit_forecaster(data, cfg, replace(hp, seed=1 + i))[2])
+    assert len({evaluation.normalized_rmse(preds, data[1][1]) for preds in runs}) == 3
+
+
+def test_multi_run_excludes_and_counts_diverged_runs(small_series):
+    cfg = ModelConfig(n_buses=3, lag_r=5)
+    hp = Hyperparams(epochs=1, seed=2)
+    data = split_windows(small_series, cfg.lag_r)
+    fit = training.fit_forecaster
+
+    def diverge_at_seed_3(data, config, hp):
+        if hp.seed == 3:
+            raise DivergenceError(0, 0, float("nan"))
+        return fit(data, config, hp)
+
+    with mock.patch.object(training, "fit_forecaster", diverge_at_seed_3):
+        runs, n_diverged = multi_run(data, cfg, hp, n_runs=3)
+        with pytest.raises(DivergenceError):
+            multi_run(data, cfg, replace(hp, seed=3), n_runs=1)
+    assert n_diverged == 1 and len(runs) == 2
+    for got, seed in zip(runs, (2, 4), strict=True):
+        npt.assert_array_equal(got, fit(data, cfg, replace(hp, seed=seed))[2])
 
