@@ -19,8 +19,8 @@ import numpy as np
 
 from . import evaluation, forecaster, training
 from .data_pipeline import (DataFormatError, SyntheticConfig, atomic_write,
-                            check_train_fraction, generate_synthetic_series, load_series,
-                            save_series, split_windows)
+                            check_train_fraction, csv_header, generate_synthetic_series,
+                            load_series, save_series, split_windows)
 from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig, load_model,
                          save_model)
 from .training import DivergenceError, Hyperparams
@@ -85,9 +85,9 @@ def cmd_gen_data(args):
 # train
 # ---------------------------------------------------------------------------
 
-# (flag, argparse dest, Hyperparams field) of each training flag
-TRAINING_FLAGS = (("--epochs", "epochs", "epochs"), ("--batch", "batch", "batch_size"),
-                  ("--lr", "lr", "learning_rate"), ("--seed", "seed", "seed"))
+# (flag, argparse dest, Hyperparams field, type) of each training flag
+TRAINING_FLAGS = (("--epochs", "epochs", "epochs", int), ("--batch", "batch", "batch_size", int),
+                  ("--lr", "lr", "learning_rate", float), ("--seed", "seed", "seed", int))
 
 
 def _checked(flag, value, check):
@@ -105,7 +105,7 @@ def _hyperparams_from(args):
     keeps the Hyperparams default."""
     _checked("--train-fraction", args.train_fraction, check_train_fraction)
     given = {}
-    for flag, dest, field in TRAINING_FLAGS:
+    for flag, dest, field, _ in TRAINING_FLAGS:
         if getattr(args, dest) is not None:
             given[field] = getattr(args, dest)
             _checked(flag, given[field], lambda value: Hyperparams(**{field: value}))
@@ -156,7 +156,7 @@ def cmd_eval(args):
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
     if args.runs == 1 and "rnn-only" not in compare:
-        for flag, dest, _ in TRAINING_FLAGS:
+        for flag, dest, _, _ in TRAINING_FLAGS:
             if getattr(args, dest) is not None:
                 raise UsageError(f"{flag} only applies when eval retrains "
                                  "(--runs > 1 or --compare rnn-only)")
@@ -178,7 +178,7 @@ def cmd_eval(args):
     data = split_windows(series, model.config.lag_r, args.train_fraction)
     x_test, y_test = data[1]
 
-    scored, n_diverged = {}, {}  # method -> [(MetricsReport, ErrorTrace) of each run]
+    scored, n_diverged = {}, {}  # method -> [MetricsReport of each run]
     for method in [kind] + compare:
         if method == "persistence":
             runs = [evaluation.persistence_predictions(x_test)]
@@ -186,13 +186,15 @@ def cmd_eval(args):
             runs, n_diverged[method] = training.multi_run(data, retrain[method], hp, args.runs)
         else:
             runs = [forecaster.forecast_batch(model, x_test)]
+        if method == kind:
+            trace_preds = runs[0]  # the trace is of the first run of the model's kind
         scored[method] = [evaluation.evaluate_predictions(preds, y_test, n) for preds in runs]
 
     body = evaluation.comparison_table(
-        {method: _mean_report([rep for rep, _ in runs]) for method, runs in scored.items()})
+        {method: _mean_report(reports) for method, reports in scored.items()})
     if args.runs > 1:
         for method, diverged in n_diverged.items():
-            scores = [rep.nrmse for rep, _ in scored[method]]
+            scores = [rep.nrmse for rep in scored[method]]
             aggregate = {"n_runs": args.runs, "n_completed": len(scores),
                          "n_diverged": diverged, "base_seed": hp.seed,
                          "nrmse_mean": float(np.mean(scores)), "nrmse_std": float(np.std(scores)),
@@ -206,7 +208,7 @@ def cmd_eval(args):
             fh.write(body)
         outputs.append(args.report_out)
     if args.trace_out:
-        evaluation.export_trace_csv(scored[kind][0][1], args.trace_out)
+        evaluation.export_trace_csv(trace_preds, y_test, args.trace_out)
         outputs.append(args.trace_out)
     primary = args.report_out or args.trace_out or (args.model + ".eval")
     seeds = list(range(hp.seed, hp.seed + args.runs)) if retrain else []
@@ -242,11 +244,9 @@ def cmd_forecast(args):
         pred = evaluation.persistence_predictions(window[None])[0]
     else:
         pred = forecaster.forecast_next(model, window)
-    has_truth = i <= len(series)
-    cols = [f"vm_{b + 1}" for b in range(n)] + [f"va_{b + 1}" for b in range(n)]
-    lines = ["kind,t," + ",".join(cols)]
+    lines = ["kind," + ",".join(csv_header(n))]
     lines.append("forecast," + str(i) + "," + ",".join(repr(float(v)) for v in pred))
-    if has_truth:
+    if i <= len(series):  # the target is in the series: report its error
         truth = series.values[i - 1]
         ae = np.abs(pred - truth)
         lines.append("truth," + str(i) + "," + ",".join(repr(float(v)) for v in truth))
@@ -268,13 +268,9 @@ def _training_parser(hp):
     """Parent parser of the training flags and --train-fraction. train
     passes Hyperparams() as the defaults; eval passes None, so a training
     flag it was not given stays None."""
-    def default(field):
-        return None if hp is None else getattr(hp, field)
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--epochs", type=int, default=default("epochs"))
-    p.add_argument("--batch", type=int, default=default("batch_size"))
-    p.add_argument("--lr", type=float, default=default("learning_rate"))
-    p.add_argument("--seed", type=int, default=default("seed"))
+    for flag, _, field, type_ in TRAINING_FLAGS:
+        p.add_argument(flag, type=type_, default=None if hp is None else getattr(hp, field))
     p.add_argument("--train-fraction", type=float, default=0.8)
     return p
 

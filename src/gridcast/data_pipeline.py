@@ -1,6 +1,7 @@
 """Dataset handling: CSV ingest, lag windowing, the one chronological split
-of a command (`split_windows`, which also windows the test partition),
-per-feature normalization, and a synthetic grid-state generator.
+of a command (`split_windows`: the first floor(T * fraction) instances
+train, the rest are windowed for test), per-feature normalization, and a
+synthetic grid-state generator.
 
 A state series stores, per time instance, n voltage magnitudes (p.u.)
 followed by n phase angles (degrees) - a 2n-wide row. The CSV format is:
@@ -8,7 +9,8 @@ followed by n phase angles (degrees) - a 2n-wide row. The CSV format is:
     t,vm_1,...,vm_n,va_1,...,va_n
 
 one row per instance, decimal numbers, no missing or non-finite cells,
-and t increasing by a uniform step.
+and t increasing by a uniform step. A leading UTF-8 byte-order mark is
+skipped.
 
 Layouts are explicit: a batch of states is (..., 2n) and a batch of lag
 windows is (..., 2n, r), features along rows and time along the last axis.
@@ -38,13 +40,10 @@ import numpy as np
 
 
 class DataFormatError(ValueError):
-    """Raised for malformed dataset files; carries a 1-based line number."""
+    """Raised for malformed dataset files; the message names the 1-based line."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass
@@ -128,19 +127,6 @@ def check_train_fraction(train_fraction):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
 
-def chronological_split(series: StateSeries, train_fraction=0.8, min_len=2):
-    """First floor(T * fraction) instances for training, rest for test;
-    each partition must hold at least min_len instances."""
-    check_train_fraction(train_fraction)
-    t = len(series)
-    n_train = int(math.floor(t * train_fraction))
-    n_test = t - n_train
-    if n_train < min_len or n_test < min_len:
-        raise ValueError(
-            f"split {n_train}/{n_test} leaves a partition shorter than {min_len}")
-    return series.slice(0, n_train), series.slice(n_train, t)
-
-
 def build_windows(series: StateSeries, r):
     """Eq-style lag windowing: returns (X, Y) with X shape (T-r, 2n, r) and
     Y shape (T-r, 2n). Sample i's window holds states i..i+r-1 column-wise
@@ -157,26 +143,29 @@ def build_windows(series: StateSeries, r):
     return x, y
 
 
-def split_windows(series: StateSeries, r, train_fraction=0.8):
-    """(training partition, (X, Y) test windows in physical units); both
-    partitions hold at least r + 1 instances."""
-    train_part, test_part = chronological_split(series, train_fraction, min_len=r + 1)
-    return train_part, build_windows(test_part, r)
+def split_windows(series: StateSeries, r, train_fraction):
+    """(first floor(T * fraction) instances, (X, Y) windows of the rest in
+    physical units); both partitions must hold at least r + 1 instances."""
+    check_train_fraction(train_fraction)
+    t = len(series)
+    n_train = int(math.floor(t * train_fraction))
+    if min(n_train, t - n_train) < r + 1:
+        raise ValueError(
+            f"split {n_train}/{t - n_train} leaves a partition shorter than {r + 1}")
+    return series.slice(0, n_train), build_windows(series.slice(n_train, t), r)
 
 
 # ---------------------------------------------------------------------------
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _expected_header(n):
-    cols = ["t"]
-    cols += [f"vm_{i + 1}" for i in range(n)]
-    cols += [f"va_{i + 1}" for i in range(n)]
-    return cols
+def csv_header(n):
+    """Column names of an n-bus series CSV: t, vm_1..vm_n, va_1..va_n."""
+    return ["t"] + [f"vm_{i + 1}" for i in range(n)] + [f"va_{i + 1}" for i in range(n)]
 
 
 def load_series(path) -> StateSeries:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFormatError("empty file", line=1)
@@ -188,7 +177,7 @@ def load_series(path) -> StateSeries:
         raise DataFormatError(
             f"header has {n_cols} columns; expected t plus an even feature count", line=1)
     n = (n_cols - 1) // 2
-    if header != _expected_header(n):
+    if header != csv_header(n):
         raise DataFormatError(
             f"header does not match t,vm_1..vm_{n},va_1..va_{n}", line=1)
     rows, line_of_row = [], []
@@ -245,7 +234,7 @@ def atomic_write(path, mode="w"):
 def save_series(series: StateSeries, path):
     """Write the CSV format read by load_series; floats via repr (lossless)."""
     with atomic_write(path) as fh:
-        fh.write(",".join(_expected_header(series.n_buses)) + "\n")
+        fh.write(",".join(csv_header(series.n_buses)) + "\n")
         for t, row in enumerate(series.values):
             fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 

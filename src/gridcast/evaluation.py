@@ -1,6 +1,7 @@
 """Metrics and baselines: normalized RMSE, absolute-error statistics split
-by magnitude/angle, per-instance error traces, and the persistence
-baseline. All metrics are computed in physical units (p.u., degrees).
+by magnitude/angle, the per-instance, per-bus error trace CSV written
+straight from predictions and truths, and the persistence baseline. All
+metrics are computed in physical units (p.u., degrees).
 
 nRMSE definition used throughout this package:
 
@@ -32,14 +33,6 @@ class MetricsReport:
     n_test_windows: int
 
 
-@dataclass
-class ErrorTrace:
-    """Per-instance, per-bus absolute errors; both arrays are (T_test, n)."""
-
-    ae_vm: np.ndarray
-    ae_va: np.ndarray
-
-
 def normalized_rmse(preds, truths):
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
@@ -60,7 +53,7 @@ def persistence_predictions(windows):
 
 def evaluate_predictions(preds, truths, n_buses):
     """(T, 2n) predictions and truths in physical units, magnitudes first
-    -> (MetricsReport, ErrorTrace)."""
+    -> MetricsReport."""
     preds = np.asarray(preds, dtype=float)
     truths = np.asarray(truths, dtype=float)
     if preds.ndim != 2 or preds.shape != truths.shape or preds.shape[1] != 2 * n_buses:
@@ -68,7 +61,7 @@ def evaluate_predictions(preds, truths, n_buses):
     ae = np.abs(preds - truths)
     ae_vm = ae[:, :n_buses]
     ae_va = ae[:, n_buses:]
-    report = MetricsReport(
+    return MetricsReport(
         nrmse=normalized_rmse(preds, truths),
         nrmse_magnitude=normalized_rmse(preds[:, :n_buses], truths[:, :n_buses]),
         nrmse_angle=normalized_rmse(preds[:, n_buses:], truths[:, n_buses:]),
@@ -78,22 +71,23 @@ def evaluate_predictions(preds, truths, n_buses):
         max_ae_angle=float(ae_va.max()),
         n_test_windows=preds.shape[0],
     )
-    return report, ErrorTrace(ae_vm.copy(), ae_va.copy())
 
 
 # ---------------------------------------------------------------------------
 # text / CSV exports
 # ---------------------------------------------------------------------------
 
-def export_trace_csv(trace: ErrorTrace, path):
-    """CSV `instance,bus,ae_vm,ae_va`, 1-based indices, row-major by instance."""
-    t, n = trace.ae_vm.shape
+def export_trace_csv(preds, truths, path):
+    """CSV `instance,bus,ae_vm,ae_va` of |preds - truths| for (T, 2n)
+    predictions and truths, magnitudes first; 1-based indices, row-major
+    by instance."""
+    ae = np.abs(np.asarray(preds, dtype=float) - np.asarray(truths, dtype=float))
+    n = ae.shape[1] // 2
     with atomic_write(path) as fh:
         fh.write("instance,bus,ae_vm,ae_va\n")
-        for i in range(t):
+        for i, row in enumerate(ae.tolist(), start=1):
             for b in range(n):
-                fh.write(f"{i + 1},{b + 1},{float(trace.ae_vm[i, b])!r},"
-                         f"{float(trace.ae_va[i, b])!r}\n")
+                fh.write(f"{i},{b + 1},{row[b]!r},{row[n + b]!r}\n")
 
 
 def comparison_table(reports: dict) -> str:

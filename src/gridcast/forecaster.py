@@ -23,9 +23,10 @@ order. The payload is the C-ordered little-endian float64 bytes of those
 arrays, concatenated in header order with nothing after them, so
 save/load round trips are bit-exact. Loading checks the version, that
 every listed name and shape is the expected one, that the payload is
-exactly 8 bytes per listed element, and that every value is finite.
-Only the first line is parsed: older files fail, a v3 file by its version
-and a v1/v2 file (indented JSON, first line "{") as unreadable: re-train.
+exactly 8 bytes per listed element, and that every value is finite. Each
+failure is a ModelFormatError whose message names the check. Only the
+first line is parsed: older files fail, a v3 file by its version and a
+v1/v2 file (indented JSON, first line "{") as unreadable: re-train.
 """
 
 from __future__ import annotations
@@ -47,19 +48,7 @@ RNN_ONLY = "rnn-only"
 
 
 class ModelFormatError(ValueError):
-    """Base class for model-file problems."""
-
-
-class ModelVersionError(ModelFormatError):
-    pass
-
-
-class ModelParseError(ModelFormatError):
-    pass
-
-
-class ModelShapeError(ModelFormatError):
-    pass
+    """A model file that cannot be loaded; the message says why."""
 
 
 @dataclass
@@ -262,41 +251,41 @@ def load_model(path) -> ForecastModel:
         try:
             header = json.loads(line)
         except ValueError as exc:
-            raise ModelParseError(f"unreadable model header in {path} ({exc}): an older "
-                                  "model file needs a re-train") from None
+            raise ModelFormatError(f"unreadable model header in {path} ({exc}): an older "
+                                   "model file needs a re-train") from None
         if not isinstance(header, dict) or "format_version" not in header:
-            raise ModelParseError(f"{path} is not a model file")
+            raise ModelFormatError(f"{path} is not a model file")
         if header["format_version"] != MODEL_FORMAT_VERSION:
-            raise ModelVersionError(
+            raise ModelFormatError(
                 f"unsupported model format {header['format_version']!r}, expected "
                 f"{MODEL_FORMAT_VERSION!r}: re-train to write a {MODEL_FORMAT_VERSION} file")
         if not line.endswith(b"\n"):
-            raise ModelParseError(f"{path}: no one-line header followed by a newline")
+            raise ModelFormatError(f"{path}: no one-line header followed by a newline")
         try:
             cfg = ModelConfig(**header["config"])
             expected = [[name, list(shape)] for name, shape in _file_arrays(cfg)]
             listed = header["arrays"]
             if not isinstance(listed, list) or len(listed) != len(expected):
-                raise ModelShapeError(f"arrays: {listed!r} does not list the "
-                                      f"{len(expected)} arrays {[n for n, _ in expected]}")
+                raise ModelFormatError(f"arrays: {listed!r} does not list the "
+                                       f"{len(expected)} arrays {[n for n, _ in expected]}")
             for stored, want in zip(listed, expected):
                 if stored != want:
-                    raise ModelShapeError(
+                    raise ModelFormatError(
                         f"array {want[0]}: stored {stored!r} != expected {want!r}")
             arrays = {}
             for name, shape in expected:
                 # read straight into each array's own buffer: no copy of the payload
                 values = np.empty(shape, dtype="<f8")
                 if fh.readinto(values) != values.nbytes:
-                    raise ModelShapeError(f"array {name}: the payload ends early")
+                    raise ModelFormatError(f"array {name}: the payload ends early")
                 if not np.isfinite(values).all():
-                    raise ModelParseError(f"array {name}: non-finite value")
+                    raise ModelFormatError(f"array {name}: non-finite value")
                 arrays[name] = values.astype(np.float64, copy=False)
             if fh.read(1):
-                raise ModelShapeError("payload: bytes after the last listed array")
+                raise ModelFormatError("payload: bytes after the last listed array")
             norm = Normalizer(arrays.pop("normalizer.mean"), arrays.pop("normalizer.std"))
         except ModelFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise ModelParseError(f"malformed model file {path}: {exc}") from None
+            raise ModelFormatError(f"malformed model file {path}: {exc}") from None
     return ForecastModel(cfg, arrays, norm)

@@ -187,7 +187,7 @@ def fit_forecaster(data, config: ModelConfig, hp: Hyperparams):
     return model, report, preds
 
 
-def multi_run(data, config: ModelConfig, hp: Hyperparams, n_runs=20):
+def multi_run(data, config: ModelConfig, hp: Hyperparams, n_runs):
     """`fit_forecaster` on one split from seeds seed..seed+n_runs-1. Returns
     (test predictions of each completed run in seed order, n_diverged); when
     every run diverges, the last DivergenceError is raised."""

@@ -11,8 +11,7 @@ import pytest
 
 from gridcast import forecaster, layers, training
 from gridcast.cli import main as cli_main
-from gridcast.data_pipeline import (SyntheticConfig, build_windows,
-                                    chronological_split, fit_normalizer,
+from gridcast.data_pipeline import (SyntheticConfig, build_windows, fit_normalizer,
                                     generate_synthetic_series, split_windows)
 from gridcast.evaluation import (comparison_table, evaluate_predictions,
                                  export_trace_csv, normalized_rmse,
@@ -227,7 +226,7 @@ def shipped_series():
 
 def test_criterion_5_beats_persistence(shipped_series):
     cfg = ModelConfig(n_buses=14, lag_r=10)
-    data = split_windows(shipped_series, cfg.lag_r)
+    data = split_windows(shipped_series, cfg.lag_r, 0.8)
     x_test, y_test = data[1]
     pers = normalized_rmse(persistence_predictions(x_test), y_test)
     ratios = []
@@ -248,11 +247,11 @@ def test_criterion_6_baseline_parity_harness(shipped_series):
     hp = Hyperparams(epochs=5, seed=0)
     hybrid_cfg = ModelConfig(n_buses=14, lag_r=10)
     rnn_cfg = ModelConfig(n_buses=14, lag_r=10, kind=forecaster.RNN_ONLY)
-    data = split_windows(shipped_series, hybrid_cfg.lag_r)
+    data = split_windows(shipped_series, hybrid_cfg.lag_r, 0.8)
     x_test, y_test = data[1]
-    h_rep, _ = evaluate_predictions(fit_forecaster(data, hybrid_cfg, hp)[2], y_test, 14)
-    r_rep, _ = evaluate_predictions(fit_forecaster(data, rnn_cfg, hp)[2], y_test, 14)
-    p_rep, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 14)
+    h_rep = evaluate_predictions(fit_forecaster(data, hybrid_cfg, hp)[2], y_test, 14)
+    r_rep = evaluate_predictions(fit_forecaster(data, rnn_cfg, hp)[2], y_test, 14)
+    p_rep = evaluate_predictions(persistence_predictions(x_test), y_test, 14)
     table = comparison_table({"hybrid": h_rep, "rnn-only": r_rep,
                               "persistence": p_rep})
     lines = table.splitlines()
@@ -303,8 +302,8 @@ def test_criterion_7_cli_determinism(tmp_path):
 def test_criterion_8_data_pipeline_oracles():
     from gridcast.data_pipeline import StateSeries
     big = StateSeries(1, np.random.default_rng(0).normal(size=(18528, 2)))
-    train_part, test_part = chronological_split(big, 0.8)
-    assert (len(train_part), len(test_part)) == (14822, 3706)
+    train_part, (_, y_test) = split_windows(big, 10, 0.8)
+    assert (len(train_part), len(y_test) + 10) == (14822, 3706)
     rng = np.random.default_rng(1)
     for _ in range(30):
         t = int(rng.integers(3, 200))
@@ -329,9 +328,9 @@ def test_criterion_9_metric_oracles(tmp_path):
     assert normalized_rmse(truths.copy(), truths) == 0.0
     assert normalized_rmse(np.zeros_like(truths), truths) == 1.0
     preds = truths + np.random.default_rng(3).normal(size=(6, 8))
-    report, trace = evaluate_predictions(preds, truths, 4)
+    report = evaluate_predictions(preds, truths, 4)
     path = tmp_path / "trace.csv"
-    export_trace_csv(trace, path)
+    export_trace_csv(preds, truths, path)
     ae_vm = np.zeros((6, 4))
     ae_va = np.zeros((6, 4))
     for row in path.read_text().splitlines()[1:]:

@@ -7,7 +7,7 @@ import pytest
 
 from gridcast.cli import main
 from gridcast.data_pipeline import load_series, split_windows
-from gridcast.evaluation import (comparison_table, evaluate_predictions,
+from gridcast.evaluation import (comparison_table, evaluate_predictions, export_trace_csv,
                                  persistence_predictions)
 from gridcast.forecaster import RNN_ONLY, load_model
 from gridcast.training import Hyperparams, multi_run
@@ -222,6 +222,38 @@ def test_eval_report_and_trace(tmp_path, dataset, model_file):
     assert trace.read_text().splitlines()[0] == "instance,bus,ae_vm,ae_va"
 
 
+def test_eval_trace_reproduces_the_model_row(tmp_path, dataset, model_file, capsys):
+    """The trace holds one row per test instance and bus, and the model
+    row's average and maximum |V| and angle errors are those of its rows."""
+    trace = tmp_path / "trace.csv"
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_file), "--data", str(dataset),
+                 "--trace-out", str(trace), "--compare", "persistence"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split()
+    n_test = len(split_windows(load_series(dataset), load_model(model_file).config.lag_r,
+                               0.8)[1][1])
+    cells = np.array([[float(c) for c in line.split(",")[2:]]
+                      for line in trace.read_text().splitlines()[1:]])
+    assert cells.shape == (n_test * 3, 2)
+    ae_vm, ae_va = cells.T
+    assert row[0] == "hybrid"
+    assert row[1:5] == [f"{v:.6e}" for v in (ae_vm.mean(), ae_vm.max(),
+                                              ae_va.mean(), ae_va.max())]
+
+
+def test_eval_multi_run_trace_is_the_first_run(tmp_path, dataset, model_file):
+    """With --runs 2 the trace is that of the first retrained run (seed
+    `seed`) of the model's kind, not of the loaded model."""
+    trace, expected = tmp_path / "trace.csv", tmp_path / "expected.csv"
+    assert main(["eval", "--model", str(model_file), "--data", str(dataset),
+                 "--runs", "2", "--epochs", "1", "--trace-out", str(trace)]) == 0
+    config = load_model(model_file).config
+    data = split_windows(load_series(dataset), config.lag_r, 0.8)
+    export_trace_csv(multi_run(data, config, Hyperparams(epochs=1), 2)[0][0], data[1][1],
+                     expected)
+    assert trace.read_bytes() == expected.read_bytes()
+
+
 def test_eval_deterministic_report_bytes(tmp_path, dataset, model_file):
     """Reruns write the same report and trace bytes, with and without
     retraining (a two-run eval retrains the hybrid and rnn-only per seed)."""
@@ -363,18 +395,18 @@ def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, mo
                "--compare", "persistence,rnn-only"])
     assert rc == 0
     config = load_model(model_file).config
-    data = split_windows(load_series(dataset), config.lag_r)
+    data = split_windows(load_series(dataset), config.lag_r, 0.8)
     x_test, y_test = data[1]
     hp = Hyperparams(epochs=1, seed=4)
 
     def mean_row(cfg):
         preds, n_diverged = multi_run(data, cfg, hp, 2)
-        runs = [evaluate_predictions(p, y_test, 3)[0] for p in preds]
+        runs = [evaluate_predictions(p, y_test, 3) for p in preds]
         assert n_diverged == 0 and len(runs) == 2 and runs[0].nrmse != runs[1].nrmse
         return replace(runs[0], **{f.name: float(np.mean([getattr(m, f.name) for m in runs]))
                                    for f in fields(runs[0]) if f.name != "n_test_windows"})
 
-    persistence, _ = evaluate_predictions(persistence_predictions(x_test), y_test, 3)
+    persistence = evaluate_predictions(persistence_predictions(x_test), y_test, 3)
     table = comparison_table({"hybrid": mean_row(config), "persistence": persistence,
                               "rnn-only": mean_row(replace(config, kind=RNN_ONLY))})
     assert report.read_text().startswith(table + "\naggregate over independent runs:\n")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MAGNITUDE,
                                     MAGNITUDE_AMPLITUDE, DataFormatError, Normalizer,
                                     StateSeries, SyntheticConfig, atomic_write,
-                                    build_windows, chronological_split, fit_normalizer,
-                                    generate_synthetic_series, load_series, save_series)
+                                    build_windows, fit_normalizer, generate_synthetic_series,
+                                    load_series, save_series, split_windows)
 
 
 def make_series(t, n, seed=0):
@@ -87,6 +87,17 @@ def test_save_load_round_trip(tmp_path):
     npt.assert_array_equal(back.values, series.values)
 
 
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    """Spreadsheet exports often begin with a UTF-8 BOM; it is not part of
+    the header."""
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    save_series(generate_synthetic_series(SyntheticConfig(n_buses=2, length=100)), plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected, back = load_series(plain), load_series(bom)
+    assert back.n_buses == expected.n_buses == 2
+    assert back.values.tobytes() == expected.values.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["w", "wb"])
 def test_atomic_write_error_leaves_target_and_no_temp_file(tmp_path, mode):
     target = tmp_path / "x.out"
@@ -104,31 +115,32 @@ def test_atomic_write_error_leaves_target_and_no_temp_file(tmp_path, mode):
 # ---------------------------------------------------------------------------
 
 def test_split_reference_counts():
-    series = make_series(18528, 1)
-    train, test = chronological_split(series, 0.8)
+    train, (_, y) = split_windows(make_series(18528, 1), 10, 0.8)
     assert len(train) == 14822
-    assert len(test) == 3706
+    assert len(y) + 10 == 3706  # the test partition is the r-state prefix plus the targets
 
 
 def test_split_exact_small():
-    train, test = chronological_split(make_series(10, 1), 0.8)
-    assert (len(train), len(test)) == (8, 2)
+    train, (_, y) = split_windows(make_series(10, 1), 1, 0.8)
+    assert (len(train), len(y) + 1) == (8, 2)
 
 
 def test_split_is_a_partition():
     series = make_series(25, 2)
-    train, test = chronological_split(series, 0.8)
-    npt.assert_array_equal(np.vstack([train.values, test.values]), series.values)
+    train, (x, y) = split_windows(series, 3, 0.8)
+    # the first test window's states, then every target, are the test partition
+    npt.assert_array_equal(np.vstack([train.values, x[0].T, y]), series.values)
 
 
 def test_split_rejects_short_partition():
-    with pytest.raises(ValueError):
-        chronological_split(make_series(12, 1), 0.8, min_len=11)
+    # 9/3 leaves both partitions shorter than r + 1 = 11
+    with pytest.raises(ValueError, match="shorter than 11"):
+        split_windows(make_series(12, 1), 10, 0.8)
 
 
 def test_split_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        chronological_split(make_series(10, 1), 1.0)
+    with pytest.raises(ValueError, match="train_fraction"):
+        split_windows(make_series(10, 1), 1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +188,12 @@ def test_rejects_too_short_series():
 
 def test_no_leakage_between_partitions():
     series = make_series(40, 1)
-    train, test = chronological_split(series, 0.8, min_len=6)
-    x, y = build_windows(test, 5)
+    train, (x, y) = split_windows(series, 5, 0.8)
+    test = series.values[len(train):]
     # every test window and target lies inside the test partition
     for i in range(len(x)):
-        npt.assert_array_equal(x[i], test.values[i:i + 5].T)
-    npt.assert_array_equal(y, test.values[5:])
+        npt.assert_array_equal(x[i], test[i:i + 5].T)
+    npt.assert_array_equal(y, test[5:])
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +228,10 @@ def test_normalized_train_moments():
 
 def test_stats_depend_only_on_training_partition():
     series = make_series(50, 2, seed=5)
-    train, _ = chronological_split(series, 0.8)
+    train, _ = split_windows(series, 1, 0.8)
     stats1 = fit_normalizer(train)
     altered = StateSeries(2, np.vstack([train.values, np.ones((10, 4)) * 99]))
-    train2, _ = chronological_split(altered, 0.8)
+    train2, _ = split_windows(altered, 1, 0.8)
     stats2 = fit_normalizer(train2)
     npt.assert_array_equal(stats1.mean, stats2.mean)
     npt.assert_array_equal(stats1.std, stats2.std)

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridcast.evaluation import (ErrorTrace, comparison_table,
-                                 evaluate_predictions, export_trace_csv,
+from gridcast.evaluation import (comparison_table, evaluate_predictions, export_trace_csv,
                                  normalized_rmse, persistence_predictions)
-from gridcast.data_pipeline import (SyntheticConfig, atomic_write, build_windows,
+from gridcast.data_pipeline import (SyntheticConfig, build_windows,
                                     generate_synthetic_series)
 from gridcast.forecaster import ModelConfig, forecast_batch, init_model
 
@@ -72,7 +71,7 @@ def test_nrmse_bit_identical_under_power_of_two_scaling(pairs, j):
 
 def test_ae_stats_perfect(rng):
     truths = rng.normal(size=(4, 6)) + 2.0
-    rep = evaluate_predictions(truths.copy(), truths, 3)[0]
+    rep = evaluate_predictions(truths.copy(), truths, 3)
     assert (rep.avg_ae_magnitude, rep.max_ae_magnitude) == (0.0, 0.0)
     assert (rep.avg_ae_angle, rep.max_ae_angle) == (0.0, 0.0)
     assert rep.nrmse == 0.0
@@ -83,7 +82,7 @@ def test_ae_stats_uniform_magnitude_error():
     truths = np.ones((3, 4))
     preds = truths.copy()
     preds[:, :2] += 0.01
-    rep = evaluate_predictions(preds, truths, 2)[0]
+    rep = evaluate_predictions(preds, truths, 2)
     assert rep.avg_ae_magnitude == pytest.approx(0.01)
     assert rep.max_ae_magnitude == pytest.approx(0.01)
     assert rep.avg_ae_angle == 0.0 and rep.max_ae_angle == 0.0
@@ -92,11 +91,11 @@ def test_ae_stats_uniform_magnitude_error():
 def test_ae_stats_hand_avg_max():
     truths = np.zeros((2, 2))
     preds = np.array([[0.01, 0.0], [0.03, 0.0]])
-    rep = evaluate_predictions(preds, truths + 1.0, 1)[0]
+    rep = evaluate_predictions(preds, truths + 1.0, 1)
     npt.assert_allclose(rep.avg_ae_magnitude, np.mean([0.99, 0.97]))
     # one magnitude error per instance: {0.01, 0.03}
     rep = evaluate_predictions(np.array([[1.01, 5.0], [1.03, 5.0]]),
-                               np.array([[1.0, 5.0], [1.0, 5.0]]), 1)[0]
+                               np.array([[1.0, 5.0], [1.0, 5.0]]), 1)
     assert rep.avg_ae_magnitude == pytest.approx(0.02)
     assert rep.max_ae_magnitude == pytest.approx(0.03)
 
@@ -104,11 +103,11 @@ def test_ae_stats_hand_avg_max():
 def test_max_ae_at_least_avg_and_order_invariant(rng):
     preds = rng.normal(size=(6, 8))
     truths = rng.normal(size=(6, 8))
-    rep = evaluate_predictions(preds, truths, 4)[0]
+    rep = evaluate_predictions(preds, truths, 4)
     assert rep.max_ae_magnitude >= rep.avg_ae_magnitude
     assert rep.max_ae_angle >= rep.avg_ae_angle
     perm = rng.permutation(6)
-    rep2 = evaluate_predictions(preds[perm], truths[perm], 4)[0]
+    rep2 = evaluate_predictions(preds[perm], truths[perm], 4)
     assert rep2 == rep
 
 
@@ -137,7 +136,7 @@ def test_persistence_zero_error_on_constant_series():
     windows = np.tile(series_row[None, :, None], (3, 1, 5))
     preds = persistence_predictions(windows)
     truths = np.tile(series_row, (3, 1))
-    rep = evaluate_predictions(preds, truths, 2)[0]
+    rep = evaluate_predictions(preds, truths, 2)
     assert rep.nrmse == 0.0
 
 
@@ -156,26 +155,25 @@ def test_evaluate_shapes_and_determinism(rng):
     model = init_model(cfg, 0)
     x = rng.normal(size=(7, 4, 3))
     y = rng.normal(size=(7, 4))
-    rep1, tr1 = evaluate_predictions(forecast_batch(model, x), y, 2)
-    rep2, tr2 = evaluate_predictions(forecast_batch(model, x), y, 2)
-    assert tr1.ae_vm.shape == (7, 2) and tr1.ae_va.shape == (7, 2)
+    rep1 = evaluate_predictions(forecast_batch(model, x), y, 2)
+    rep2 = evaluate_predictions(forecast_batch(model, x), y, 2)
+    assert rep1.n_test_windows == 7
     assert rep1 == rep2
-    npt.assert_array_equal(tr1.ae_vm, tr2.ae_vm)
 
 
 def test_ground_truth_as_predictions_gives_zero_report(rng):
     y = rng.normal(size=(4, 6))
-    rep, tr = evaluate_predictions(y.copy(), y, 3)
+    rep = evaluate_predictions(y.copy(), y, 3)
     assert rep.nrmse == 0.0
-    npt.assert_array_equal(tr.ae_vm, np.zeros((4, 3)))
+    assert rep.max_ae_magnitude == rep.max_ae_angle == 0.0
 
 
 def test_report_recomputable_from_exported_trace(tmp_path, rng):
     preds = rng.normal(size=(5, 6))
     truths = rng.normal(size=(5, 6))
-    rep, tr = evaluate_predictions(preds, truths, 3)
+    rep = evaluate_predictions(preds, truths, 3)
     path = tmp_path / "trace.csv"
-    export_trace_csv(tr, path)
+    export_trace_csv(preds, truths, path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "instance,bus,ae_vm,ae_va"
     ae_vm = np.zeros((5, 3))
@@ -190,53 +188,10 @@ def test_report_recomputable_from_exported_trace(tmp_path, rng):
     assert ae_va.max() == rep.max_ae_angle
 
 
-def at_instance(trace, i):
-    """Per-bus errors for one test instance (1-based, matching reports)."""
-    return trace.ae_vm[i - 1], trace.ae_va[i - 1]
-
-
-def for_bus(trace, bus, start, stop):
-    """Errors of one bus (1-based) over [start, stop) instances (1-based)."""
-    sl = slice(start - 1, stop - 1)
-    return trace.ae_vm[sl, bus - 1], trace.ae_va[sl, bus - 1]
-
-
-def export_instance_slice_csv(trace, instance, path):
-    """Per-bus errors at one test instance (all-buses view)."""
-    vm, va = at_instance(trace, instance)
-    with atomic_write(path) as fh:
-        fh.write("bus,ae_vm,ae_va\n")
-        for b in range(len(vm)):
-            fh.write(f"{b + 1},{float(vm[b])!r},{float(va[b])!r}\n")
-
-
-def export_bus_slice_csv(trace, bus, start, stop, path):
-    """One bus's errors over an instance range (time-trace view)."""
-    vm, va = for_bus(trace, bus, start, stop)
-    with atomic_write(path) as fh:
-        fh.write("instance,ae_vm,ae_va\n")
-        for i in range(len(vm)):
-            fh.write(f"{start + i},{float(vm[i])!r},{float(va[i])!r}\n")
-
-
-def test_trace_slices(tmp_path, rng):
-    tr = ErrorTrace(rng.uniform(size=(10, 3)), rng.uniform(size=(10, 3)))
-    vm, va = at_instance(tr, 4)
-    npt.assert_array_equal(vm, tr.ae_vm[3])
-    vm, va = for_bus(tr, 2, 3, 8)
-    npt.assert_array_equal(vm, tr.ae_vm[2:7, 1])
-    export_instance_slice_csv(tr, 4, tmp_path / "inst.csv")
-    export_bus_slice_csv(tr, 2, 3, 8, tmp_path / "bus.csv")
-    assert (tmp_path / "inst.csv").read_text().splitlines()[0] == "bus,ae_vm,ae_va"
-    bus_lines = (tmp_path / "bus.csv").read_text().splitlines()
-    assert bus_lines[0] == "instance,ae_vm,ae_va"
-    assert len(bus_lines) == 6
-
-
 def test_comparison_table_layout(rng):
     preds = rng.normal(size=(3, 4))
     truths = rng.normal(size=(3, 4))
-    rep = evaluate_predictions(preds, truths, 2)[0]
+    rep = evaluate_predictions(preds, truths, 2)
     table = comparison_table({"hybrid": rep, "persistence": rep})
     lines = table.splitlines()
     assert "AvgAE |V|" in lines[0] and "MaxAE angle" in lines[0] and "nRMSE" in lines[0]

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from gridcast import layers
 from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
-                                 ModelFormatError, ModelParseError,
-                                 ModelShapeError, ModelVersionError,
-                                 forecast_batch, forecast_next,
+                                 ModelFormatError, forecast_batch, forecast_next,
                                  init_model, load_model, model_backward, model_forward,
                                  param_layout, save_model)
 
@@ -305,7 +303,7 @@ def test_save_load_round_trip_bit_exact(tmp_path, rng):
 def test_load_corrupt_header(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
-    with pytest.raises(ModelParseError):
+    with pytest.raises(ModelFormatError, match="unreadable model header"):
         load_model(path)
 
 
@@ -389,10 +387,11 @@ def test_load_version_mismatch(tmp_path):
     header, arrays = _saved(v3)
     _write(v3, _as_v3(header), arrays)
     for path, version in ((v0, "v0"), (v3, "v3")):
-        with pytest.raises(ModelVersionError, match=rf"gridcast-model-{version}.*re-train"):
+        with pytest.raises(ModelFormatError,
+                           match=rf"unsupported model format 'gridcast-model-{version}'.*re-train"):
             load_model(path)
     for path in (v1, v2):  # only the first line, "{", is read
-        with pytest.raises(ModelParseError, match="re-train") as exc:
+        with pytest.raises(ModelFormatError, match="unreadable model header.*re-train") as exc:
             load_model(path)
         assert str(path) in str(exc.value)
 
@@ -402,7 +401,7 @@ def test_load_shape_inconsistency(tmp_path):
     header, arrays = _saved(path)
     arrays["conv_b"] = np.append(arrays["conv_b"], 0.0)  # 8 bytes too many
     _write(path, header, arrays)
-    with pytest.raises(ModelShapeError):
+    with pytest.raises(ModelFormatError, match="bytes after the last listed array"):
         load_model(path)
 
 
@@ -415,7 +414,7 @@ def test_load_rejects_wrong_normalizer_length(tmp_path, name, width):
     header["arrays"] = [[k, [width] if k == key else shape] for k, shape in header["arrays"]]
     arrays[key] = np.ones(width)
     _write(path, header, arrays)
-    with pytest.raises(ModelShapeError, match=name):
+    with pytest.raises(ModelFormatError, match=rf"array normalizer\.{name}: stored"):
         load_model(path)
 
 
@@ -432,7 +431,7 @@ def test_load_rejects_width_below_one(tmp_path, width):
               **{name: np.zeros(shape) for name, (_, shape) in param_layout(cfg).items()}}
     header["arrays"] = [[name, list(a.shape)] for name, a in arrays.items()]
     _write(path, header, arrays)
-    with pytest.raises(ModelParseError, match="invalid model config"):
+    with pytest.raises(ModelFormatError, match="invalid model config"):
         load_model(path)
 
 
@@ -447,7 +446,7 @@ def test_load_rejects_non_finite_values(tmp_path, section, name, value):
     name = f"normalizer.{name}" if section == "normalizer" else name
     arrays[name][0] = value
     _write(path, header, arrays)
-    with pytest.raises(ModelParseError, match=rf"{name}: non-finite"):
+    with pytest.raises(ModelFormatError, match=rf"{name}: non-finite"):
         load_model(path)
 
 
@@ -457,19 +456,22 @@ def _transposed_dense3_w(header):
     return _header_bytes(header)
 
 
-@pytest.mark.parametrize("corrupt, error", [
-    (lambda header, body: _header_bytes(header) + b"\n" + body[:-1], ModelShapeError),
-    (lambda header, body: _header_bytes(header) + b"\n" + body + bytes(8), ModelShapeError),
-    (lambda header, body: _header_bytes(header) + body, ModelParseError),
-    (lambda header, body: _transposed_dense3_w(header) + b"\n" + body, ModelShapeError),
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda header, body: _header_bytes(header) + b"\n" + body[:-1],
+     "array dense3_b: the payload ends early"),
+    (lambda header, body: _header_bytes(header) + b"\n" + body + bytes(8),
+     "bytes after the last listed array"),
+    (lambda header, body: _header_bytes(header) + body, "unreadable model header"),
+    (lambda header, body: _transposed_dense3_w(header) + b"\n" + body,
+     "array dense3_w: stored"),
 ], ids=["one-byte-short", "eight-bytes-extra", "no-newline-after-header",
         "header-shape-disagrees-with-config"])
-def test_load_rejects_corrupt_payload(tmp_path, corrupt, error):
+def test_load_rejects_corrupt_payload(tmp_path, corrupt, message):
     path = tmp_path / "model.json"
     header, arrays = _saved(path)
     assert header["arrays"][-2] == ["dense3_w", [2, 4]]  # not square, so a transpose shows
     path.write_bytes(corrupt(header, _payload(arrays)))
-    with pytest.raises(error):
+    with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
 
@@ -531,9 +533,3 @@ def test_mismatched_config_rejects_wrong_window(tmp_path, rng):
     back = load_model(path)
     with pytest.raises(layers.ShapeError):
         forecast_next(back, rng.normal(size=(6, 3)))
-
-
-def test_error_hierarchy():
-    assert issubclass(ModelVersionError, ModelFormatError)
-    assert issubclass(ModelParseError, ModelFormatError)
-    assert issubclass(ModelShapeError, ModelFormatError)

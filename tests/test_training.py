@@ -288,7 +288,7 @@ def test_memorization_small():
 def test_first_epoch_loss_decreases_on_synthetic_default():
     series = generate_synthetic_series(SyntheticConfig(n_buses=4, length=200, seed=0))
     cfg = ModelConfig(n_buses=4, lag_r=10)
-    _, report, _ = fit_forecaster(split_windows(series, cfg.lag_r), cfg,
+    _, report, _ = fit_forecaster(split_windows(series, cfg.lag_r, 0.8), cfg,
                                   Hyperparams(epochs=2, seed=0))
     assert report.epoch_losses[1] < report.epoch_losses[0]
 
@@ -305,7 +305,7 @@ def small_series():
 def test_multi_run_single_equals_run(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
-    data = split_windows(small_series, cfg.lag_r)
+    data = split_windows(small_series, cfg.lag_r, 0.8)
     runs, n_diverged = multi_run(data, cfg, hp, n_runs=1)
     model, report, preds = fit_forecaster(data, cfg, hp)
     x_test, y_test = data[1]
@@ -318,7 +318,7 @@ def test_multi_run_single_equals_run(small_series):
 def test_multi_run_seeds_are_distinct_and_reproducible(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=2, seed=1)
-    data = split_windows(small_series, cfg.lag_r)
+    data = split_windows(small_series, cfg.lag_r, 0.8)
     runs, n_diverged = multi_run(data, cfg, hp, n_runs=3)
     assert n_diverged == 0 and len(runs) == 3
     runs2, _ = multi_run(data, cfg, hp, n_runs=3)
@@ -333,7 +333,7 @@ def test_multi_run_seeds_are_distinct_and_reproducible(small_series):
 def test_multi_run_excludes_and_counts_diverged_runs(small_series):
     cfg = ModelConfig(n_buses=3, lag_r=5)
     hp = Hyperparams(epochs=1, seed=2)
-    data = split_windows(small_series, cfg.lag_r)
+    data = split_windows(small_series, cfg.lag_r, 0.8)
     fit = training.fit_forecaster
 
     def diverge_at_seed_3(data, config, hp):
