@@ -4,7 +4,7 @@ Exit codes (stable contract): 0 success, 1 I/O or data error, 2 usage
 error, 3 numerical divergence. Every command writes a JSON run manifest
 beside its primary output; the manifest is the only output carrying wall
 clock, so repeated runs with identical flags produce byte-identical data
-artifacts.
+artifacts on the same numpy and BLAS build at the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ class UsageError(ValueError):
     pass
 
 
+def _checked(flag, value, check):
+    """check(value), with a ValueError it raises made a usage error that
+    names the flag."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {value}: {exc}") from None
+
+
 def _write_manifest(primary_out, command, args, seeds, inputs, outputs, t0):
     doc = {
         "manifest_version": MANIFEST_VERSION,
@@ -56,23 +65,27 @@ def _write_manifest(primary_out, command, args, seeds, inputs, outputs, t0):
 # gen-data
 # ---------------------------------------------------------------------------
 
+# (flag, argparse dest, SyntheticConfig field) of each gen-data flag
+SYNTHETIC_FLAGS = (("--buses", "buses", "n_buses"), ("--length", "length", "length"),
+                   ("--period", "period", "period"), ("--noise", "noise", "noise_std_magnitude"),
+                   ("--angle-noise", "angle_noise", "noise_std_angle"),
+                   ("--coupling", "coupling", "coupling"), ("--seed", "seed", "seed"))
+
+
 def cmd_gen_data(args):
     t0 = time.perf_counter()
     if args.length < 12:
         raise UsageError(f"--length must be >= 12 (lag 10 needs r+1 states), got {args.length}")
+    cfg = SyntheticConfig(n_buses=1, length=2)  # valid; each flag then replaces one field
+    for flag, dest, field in SYNTHETIC_FLAGS:
+        cfg = _checked(flag, getattr(args, dest), lambda value: replace(cfg, **{field: value}))
     try:
-        cfg = SyntheticConfig(n_buses=args.buses, length=args.length, period=args.period,
-                              noise_std_magnitude=args.noise, noise_std_angle=args.angle_noise,
-                              coupling=args.coupling, seed=args.seed)
-        # generation reads only flags, so each error it raises is a usage error
         with np.errstate(over="raise", invalid="raise"):
             series = generate_synthetic_series(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     except FloatingPointError as exc:  # an ArithmeticError, not a ValueError
         raise UsageError(f"the series overflows float64 ({exc}): lower --noise, "
                          "--angle-noise or --coupling") from None
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy: "Maximum allowed dimension exceeded"
         raise UsageError(f"the series of --buses {args.buses} and --length {args.length} "
                          "does not fit in memory: lower either") from None
     save_series(series, args.out)
@@ -90,13 +103,13 @@ TRAINING_FLAGS = (("--epochs", "epochs", "epochs", int), ("--batch", "batch", "b
                   ("--lr", "lr", "learning_rate", float), ("--seed", "seed", "seed", int))
 
 
-def _checked(flag, value, check):
-    """check(value), with a ValueError it raises made a usage error that
-    names the flag."""
+def _split(series, lag, train_fraction, lag_name):
+    """split_windows, with a short partition's error naming the settings."""
     try:
-        return check(value)
+        return split_windows(series, lag, train_fraction)
     except ValueError as exc:
-        raise UsageError(f"{flag} {value}: {exc}") from None
+        raise DataFormatError(f"{exc}: the data is too short for --train-fraction "
+                              f"{train_fraction} and {lag_name} {lag}") from None
 
 
 def _hyperparams_from(args):
@@ -120,7 +133,7 @@ def cmd_train(args):
     _checked("--lag", args.lag, lambda lag: ModelConfig(n_buses=1, lag_r=lag, kind=args.baseline))
     series = load_series(args.data)
     config = ModelConfig(n_buses=series.n_buses, lag_r=args.lag, kind=args.baseline)
-    data = split_windows(series, args.lag, args.train_fraction)
+    data = _split(series, args.lag, args.train_fraction, "--lag")
     model, report, _ = training.fit_forecaster(data, config, hp)
     save_model(model, args.model_out)
     report_path = args.report_out or (args.model_out + ".report.json")
@@ -155,7 +168,8 @@ def cmd_eval(args):
             raise UsageError(f"unknown --compare entry {c!r}")
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
-    if args.runs == 1 and "rnn-only" not in compare:
+    retrains = args.runs > 1 or "rnn-only" in compare
+    if not retrains:
         for flag, dest, _, _ in TRAINING_FLAGS:
             if getattr(args, dest) is not None:
                 raise UsageError(f"{flag} only applies when eval retrains "
@@ -166,42 +180,36 @@ def cmd_eval(args):
     kind, n = model.config.kind, model.config.n_buses
     if "rnn-only" in compare and kind == RNN_ONLY:
         raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
-    retrain = {}  # method -> ModelConfig it is retrained with
-    if args.runs > 1:
-        retrain[kind] = model.config
-    if "rnn-only" in compare:
-        retrain["rnn-only"] = replace(model.config, kind=RNN_ONLY)
 
     series = load_series(args.data)
     if series.n_buses != n:
         raise DataFormatError(f"model expects {n} buses, data has {series.n_buses}")
-    data = split_windows(series, model.config.lag_r, args.train_fraction)
+    data = _split(series, model.config.lag_r, args.train_fraction, "the model's lag")
     x_test, y_test = data[1]
 
-    scored, n_diverged = {}, {}  # method -> [MetricsReport of each run]
+    rows, aggregates = {}, ""
     for method in [kind] + compare:
         if method == "persistence":
             runs = [evaluation.persistence_predictions(x_test)]
-        elif method in retrain:
-            runs, n_diverged[method] = training.multi_run(data, retrain[method], hp, args.runs)
+        elif args.runs > 1 or method != kind:
+            runs, n_diverged = training.multi_run(
+                data, replace(model.config, kind=method), hp, args.runs)
         else:
             runs = [forecaster.forecast_batch(model, x_test)]
         if method == kind:
             trace_preds = runs[0]  # the trace is of the first run of the model's kind
-        scored[method] = [evaluation.evaluate_predictions(preds, y_test, n) for preds in runs]
-
-    body = evaluation.comparison_table(
-        {method: _mean_report(reports) for method, reports in scored.items()})
-    if args.runs > 1:
-        for method, diverged in n_diverged.items():
-            scores = [rep.nrmse for rep in scored[method]]
+        reports = [evaluation.evaluate_predictions(preds, y_test, n) for preds in runs]
+        rows[method] = _mean_report(reports)
+        if args.runs > 1 and method != "persistence":
+            scores = [rep.nrmse for rep in reports]
             aggregate = {"n_runs": args.runs, "n_completed": len(scores),
-                         "n_diverged": diverged, "base_seed": hp.seed,
+                         "n_diverged": n_diverged, "base_seed": hp.seed,
                          "nrmse_mean": float(np.mean(scores)), "nrmse_std": float(np.std(scores)),
                          "nrmse_min": float(np.min(scores)), "nrmse_max": float(np.max(scores))}
             label = "" if method == kind else f" ({method})"
-            body += f"\naggregate over independent runs{label}:\n"
-            body += json.dumps(aggregate, indent=1) + "\n"
+            aggregates += f"\naggregate over independent runs{label}:\n"
+            aggregates += json.dumps(aggregate, indent=1) + "\n"
+    body = evaluation.comparison_table(rows) + aggregates
     outputs = []
     if args.report_out:
         with atomic_write(args.report_out) as fh:
@@ -211,7 +219,7 @@ def cmd_eval(args):
         evaluation.export_trace_csv(trace_preds, y_test, args.trace_out)
         outputs.append(args.trace_out)
     primary = args.report_out or args.trace_out or (args.model + ".eval")
-    seeds = list(range(hp.seed, hp.seed + args.runs)) if retrain else []
+    seeds = list(range(hp.seed, hp.seed + args.runs)) if retrains else []
     _write_manifest(primary, "eval", args, seeds,
                     [args.model, args.data], outputs, t0)
     print(body, end="")

@@ -86,10 +86,6 @@ class Normalizer:
         if not (self.std > 0).all():
             raise ValueError("normalizer std must be positive")
 
-    @classmethod
-    def identity(cls, n_features):
-        return cls(np.zeros(n_features), np.ones(n_features))
-
     def apply(self, states):
         """z-score states laid out (..., 2n)."""
         return (self._aligned(states) - self.mean) / self.std
@@ -170,7 +166,7 @@ def load_series(path) -> StateSeries:
     if not lines:
         raise DataFormatError("empty file", line=1)
     header = lines[0].split(",")
-    if not header or header[0].strip() != "t":
+    if header[0].strip() != "t":
         raise DataFormatError("missing header (first column must be 't')", line=1)
     n_cols = len(header)
     if n_cols < 3 or (n_cols - 1) % 2 != 0:

@@ -32,6 +32,7 @@ v1/v2 file (indented JSON, first line "{") as unreadable: re-train.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -116,28 +117,18 @@ class ForecastModel:
     normalizer: Normalizer
 
 
-def _init_bound(name, shape, cfg):
-    if name == "conv_w":
-        fan_in = cfg.n_features * KERNEL
-        fan_out = cfg.conv_filters * KERNEL
-    else:
-        fan_out, fan_in = shape
-    return np.sqrt(6.0 / (fan_in + fan_out))
-
-
-def init_model(cfg: ModelConfig, seed, normalizer=None) -> ForecastModel:
-    """Scaled-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases;
-    deterministic given the seed."""
+def init_model(cfg: ModelConfig, seed, normalizer: Normalizer) -> ForecastModel:
+    """Zero biases and Glorot-uniform weights, drawn in param_layout order
+    from np.random.default_rng(seed): a weight of shape (out, in, *kernel)
+    is U(-b, b) with b = sqrt(6 / ((out + in) * kernel size))."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, (_, shape) in param_layout(cfg).items():
         if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
-            bound = _init_bound(name, shape, cfg)
+            bound = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
             params[name] = rng.uniform(-bound, bound, shape)
-    if normalizer is None:
-        normalizer = Normalizer.identity(cfg.n_features)
     return ForecastModel(cfg, params, normalizer)
 
 
@@ -148,7 +139,7 @@ def init_model(cfg: ModelConfig, seed, normalizer=None) -> ForecastModel:
 def _check_window_batch(cfg, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != cfg.n_features or x.shape[2] != cfg.lag_r:
-        raise layers.ShapeError(
+        raise ValueError(
             f"expected windows of shape (B, {cfg.n_features}, {cfg.lag_r}), got {x.shape}")
     return x
 

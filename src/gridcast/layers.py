@@ -40,10 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Raised when an input's dimensions do not match the layer parameters."""
-
-
 # ---------------------------------------------------------------------------
 # 1D convolution over adjacent column pairs
 # ---------------------------------------------------------------------------
@@ -51,15 +47,15 @@ class ShapeError(ValueError):
 def conv1d_forward(x, w, b):
     """x: (B, C, r); w: (K, C, kernel); b: (K,) -> out (B, K, r-kernel+1), cache."""
     if x.ndim != 3 or w.ndim != 3:
-        raise ShapeError(f"conv1d expects 3-d input and weights, got {x.shape} / {w.shape}")
+        raise ValueError(f"conv1d expects 3-d input and weights, got {x.shape} / {w.shape}")
     b_, c, r = x.shape
     k, _, kernel = w.shape
     if w.shape[1] != c:
-        raise ShapeError(f"filter rows {w.shape[1]} != input rows {c}")
+        raise ValueError(f"filter rows {w.shape[1]} != input rows {c}")
     if r < kernel:
-        raise ShapeError(f"sequence length {r} shorter than kernel {kernel}")
+        raise ValueError(f"sequence length {r} shorter than kernel {kernel}")
     if b.shape != (k,):
-        raise ShapeError(f"bias shape {b.shape} != ({k},)")
+        raise ValueError(f"bias shape {b.shape} != ({k},)")
     p = r - kernel + 1
     xt = np.ascontiguousarray(x.transpose(0, 2, 1))
     # taps[:, t, j] = w[:, :, j] @ x[:, :, t]; output position q sums taps[:, q + j, j]
@@ -92,7 +88,7 @@ def maxpool_forward(x):
     (2, 3), ...; an odd last column is dropped."""
     b_, k_, m = x.shape
     if m < 2:
-        raise ShapeError(f"cannot pool width {m} in pairs")
+        raise ValueError(f"cannot pool width {m} in pairs")
     first, last = x[:, :, 0:m - 1:2], x[:, :, 1:m:2]
     second = last > first  # a tie keeps the first column
     return np.where(second, last, first), (x.shape, second)
@@ -116,9 +112,9 @@ def dense_forward(x, w, b, activation="linear"):
     if activation not in ("linear", "relu"):
         raise ValueError(f"unknown activation {activation!r}")
     if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"input width {x.shape[1]} != weight cols {w.shape[1]}")
+        raise ValueError(f"input width {x.shape[1]} != weight cols {w.shape[1]}")
     if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} != ({w.shape[0]},)")
+        raise ValueError(f"bias shape {b.shape} != ({w.shape[0]},)")
     out = x @ w.T + b
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
@@ -146,16 +142,16 @@ def stacked_rnn_forward(x, layer_params):
     and the cache needed for backpropagation through time.
     """
     if not layer_params:
-        raise ShapeError("at least one recurrent layer is required")
+        raise ValueError("at least one recurrent layer is required")
     b_, d, r = x.shape
     in_dim = d
     for i, (wx, wh, bias) in enumerate(layer_params):
         if wh.shape[0] != wh.shape[1] or wx.shape[0] != wh.shape[0]:
-            raise ShapeError(f"layer {i}: inconsistent weight shapes {wx.shape} / {wh.shape}")
+            raise ValueError(f"layer {i}: inconsistent weight shapes {wx.shape} / {wh.shape}")
         if wx.shape[1] != in_dim:
-            raise ShapeError(f"layer {i}: expects input dim {wx.shape[1]}, got {in_dim}")
+            raise ValueError(f"layer {i}: expects input dim {wx.shape[1]}, got {in_dim}")
         if bias.shape != (wh.shape[0],):
-            raise ShapeError(f"layer {i}: bias shape {bias.shape} != ({wh.shape[0]},)")
+            raise ValueError(f"layer {i}: bias shape {bias.shape} != ({wh.shape[0]},)")
         in_dim = wh.shape[0]
     xs = np.ascontiguousarray(x.transpose(2, 0, 1))
     below = xs

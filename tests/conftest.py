@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from gridcast import forecaster
+from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import ForecastModel, param_layout
-from gridcast.layers import ShapeError
 from gridcast.training import BETA1, BETA2, EPSILON, joint_loss_and_grad
+
+
+def identity_normalizer(n_features):
+    """The normalizer that leaves n_features-wide states unchanged."""
+    return Normalizer(np.zeros(n_features), np.ones(n_features))
 
 
 def param_count(cfg):
@@ -64,15 +69,15 @@ def rnn_cell_step(wx, wh, b, below, prev_hidden):
     wx = np.asarray(wx, dtype=float)
     wh = np.asarray(wh, dtype=float)
     if wh.shape[0] != wh.shape[1]:
-        raise ShapeError(f"recurrent weight must be square, got {wh.shape}")
+        raise ValueError(f"recurrent weight must be square, got {wh.shape}")
     if wx.shape[0] != wh.shape[0]:
-        raise ShapeError(f"input weight rows {wx.shape[0]} != hidden size {wh.shape[0]}")
+        raise ValueError(f"input weight rows {wx.shape[0]} != hidden size {wh.shape[0]}")
     below = np.asarray(below, dtype=float)
     prev_hidden = np.asarray(prev_hidden, dtype=float)
     if below.shape != (wx.shape[1],):
-        raise ShapeError(f"input length {below.shape} != weight cols {wx.shape[1]}")
+        raise ValueError(f"input length {below.shape} != weight cols {wx.shape[1]}")
     if prev_hidden.shape != (wh.shape[0],):
-        raise ShapeError(f"hidden length {prev_hidden.shape} != {wh.shape[0]}")
+        raise ValueError(f"hidden length {prev_hidden.shape} != {wh.shape[0]}")
     return np.maximum(wx @ below + wh @ prev_hidden + b, 0.0)
 
 

@@ -19,8 +19,8 @@ from gridcast.evaluation import (comparison_table, evaluate_predictions,
 from gridcast.forecaster import ModelConfig, init_model
 from gridcast.training import Hyperparams, fit_forecaster
 
-from conftest import (batch_loss_and_grads, central_diff, oracle_conv1d_forward,
-                      param_count, rel_err)
+from conftest import (batch_loss_and_grads, central_diff, identity_normalizer,
+                      oracle_conv1d_forward, param_count, rel_err)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4, rnn_layers=3)
 FD_STEP = 1e-5
@@ -110,7 +110,7 @@ def _whole_model_instance(seed):
     cfg = ModelConfig(**TINY)
     for attempt in range(50):
         g = np.random.default_rng(seed + attempt * 100003)
-        model = init_model(cfg, seed)
+        model = init_model(cfg, seed, identity_normalizer(cfg.n_features))
         for k in model.params:
             model.params[k] = g.normal(scale=0.5, size=model.params[k].shape)
         x = g.normal(size=(3, 4, 3))
@@ -146,7 +146,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_shape_oracle_reference_scale():
     cfg = ModelConfig(n_buses=118, lag_r=10)
-    model = init_model(cfg, 0)
+    model = init_model(cfg, 0, identity_normalizer(cfg.n_features))
     x = np.random.default_rng(0).normal(size=(1, 236, 10))
     conv, _ = layers.conv1d_forward(x, model.params["conv_w"], model.params["conv_b"])
     assert conv.shape == (1, 118, 9)
@@ -177,7 +177,7 @@ def test_criterion_2_shape_oracle_reference_scale():
 
 def test_criterion_3_param_count_oracle():
     assert 118 * (236 * 2 + 1) == 55814
-    default = init_model(ModelConfig(n_buses=118), 0)
+    default = init_model(ModelConfig(n_buses=118), 0, identity_normalizer(236))
     assert default.params["conv_w"].size + default.params["conv_b"].size == 55814
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -190,7 +190,8 @@ def test_criterion_3_param_count_oracle():
             rnn_hidden=int(rng.integers(1, 12)),
             kind=forecaster.HYBRID if rng.integers(0, 2) else forecaster.RNN_ONLY,
         )
-        enumerated = sum(p.size for p in init_model(cfg, 0).params.values())
+        model = init_model(cfg, 0, identity_normalizer(cfg.n_features))
+        enumerated = sum(p.size for p in model.params.values())
         assert param_count(cfg) == enumerated
     _pass("criterion 3: param_count equals exhaustive enumeration for 20 "
           "random configs plus the 55,814 default conv total")

@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from gridcast.cli import main
 from gridcast.data_pipeline import load_series, split_windows
 from gridcast.evaluation import (comparison_table, evaluate_predictions, export_trace_csv,
                                  persistence_predictions)
-from gridcast.forecaster import RNN_ONLY, load_model
-from gridcast.training import Hyperparams, multi_run
+from gridcast import training
+from gridcast.forecaster import RNN_ONLY, forecast_batch, load_model
+from gridcast.training import DivergenceError, Hyperparams, multi_run
 
 
 @pytest.fixture(scope="module")
@@ -86,34 +88,35 @@ def test_freeze_branch_is_unknown_flag(argv):
     (["train", "--lr", "nan"], "--lr"),
     (["train", "--lr", "inf"], "--lr"),
     (["eval", "--runs", "2", "--lr", "nan"], "--lr"),
-    (["gen-data", "--buses", "0"], None),
-    (["gen-data", "--period", "1"], None),
-    (["gen-data", "--seed", "-1"], None),
-    (["gen-data", "--noise", "nan"], None),
-    (["gen-data", "--angle-noise", "inf"], None),
-    (["gen-data", "--coupling", "inf"], None),
+    (["gen-data", "--buses", "0"], "--buses"),
+    (["gen-data", "--period", "1"], "--period"),
+    (["gen-data", "--seed", "-1"], "--seed"),
+    (["gen-data", "--noise", "nan"], "--noise"),
+    (["gen-data", "--angle-noise", "inf"], "--angle-noise"),
+    (["gen-data", "--coupling", "inf"], "--coupling"),
     (["gen-data", "--buses", "2", "--length", "50", "--coupling", "1e308"], "--coupling"),
     (["gen-data", "--buses", "2", "--length", "50", "--noise", "1e308"], "--noise"),
     (["gen-data", "--buses", "2", "--length", "50", "--angle-noise", "1e308"], "--angle-noise"),
     (["gen-data", "--buses", "1", "--length", "100000000000000000"], "--buses --length"),
+    (["gen-data", "--buses", "1", "--length", "100000000000000000000"], "--buses --length"),
 ], ids=["train-lr", "train-epochs", "train-lag", "train-fraction", "train-seed",
         "train-lr-nan", "train-lr-inf", "eval-lr-nan", "gen-data-buses", "gen-data-period",
         "gen-data-seed", "gen-data-noise-nan", "gen-data-angle-noise-inf",
         "gen-data-coupling-inf", "gen-data-coupling-overflow", "gen-data-noise-overflow",
-        "gen-data-angle-noise-overflow", "gen-data-beyond-memory"])
+        "gen-data-angle-noise-overflow", "gen-data-beyond-memory",
+        "gen-data-beyond-max-dimension"])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
-    """An out-of-range value is a usage error (exit 2); train and eval name
-    the flag and report it before reading any file (here none exists), and
-    a gen-data overflow or a series too large to allocate names the
+    """An out-of-range value is a usage error (exit 2) that names its flag;
+    train and eval report it before reading any file (here none exists),
+    and a gen-data overflow or a series too large to allocate names the
     generator flags (each of `flag`'s words)."""
     io = {"train": ["--data", str(tmp_path / "nope.csv"), "--model-out", str(tmp_path / "m")],
           "eval": ["--data", str(tmp_path / "nope.csv"), "--model", str(tmp_path / "m")],
           "gen-data": ["--out", str(tmp_path / "g.csv")]}[argv[0]]
     assert main(argv + io) == 2
-    if flag:
-        err = capsys.readouterr().err
-        for name in flag.split():
-            assert (name if argv[0] == "gen-data" else f"error: {name} ") in err
+    err = capsys.readouterr().err
+    for name in flag.split():
+        assert (name if argv[0] == "gen-data" else f"error: {name} ") in err
     assert not list(tmp_path.iterdir())
 
 
@@ -349,6 +352,31 @@ def test_train_and_eval_score_the_same_split(tmp_path, dataset, capsys):
     assert row.split()[5] == f"{nrmse:.6e}"
 
 
+@pytest.mark.parametrize("command, lag", [("train", "--lag"), ("eval", "the model's lag")],
+                         ids=["train", "eval"])
+def test_short_split_is_data_error_naming_its_settings(tmp_path, model_file, capsys, command,
+                                                       lag):
+    """A split with a partition shorter than lag + 1 depends on the data's
+    length, so it is a data error (exit 1); its message names
+    --train-fraction and the lag."""
+    data = tmp_path / "short.csv"
+    assert main(["gen-data", "--buses", "3", "--length", "20", "--out", str(data)]) == 0
+    io = {"train": ["--model-out", str(tmp_path / "m")], "eval": ["--model", str(model_file)]}
+    capsys.readouterr()
+    assert main([command, "--data", str(data)] + io[command]) == 1
+    err = capsys.readouterr().err
+    assert "--train-fraction 0.8" in err and f"{lag} 10" in err
+
+
+@pytest.mark.parametrize("length, rc", [(50, 1), (51, 0)])
+def test_default_train_needs_51_instances(tmp_path, length, rc):
+    """floor(0.8 T) >= 11 and T - floor(0.8 T) >= 11 first hold at T = 51."""
+    data = tmp_path / "d.csv"
+    assert main(["gen-data", "--buses", "1", "--length", str(length), "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--model-out", str(tmp_path / "m"),
+                 "--epochs", "0"]) == rc
+
+
 def test_eval_shape_mismatch_exit_code(tmp_path, model_file):
     other = tmp_path / "other.csv"
     assert main(["gen-data", "--buses", "5", "--length", "60",
@@ -410,6 +438,45 @@ def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, mo
     table = comparison_table({"hybrid": mean_row(config), "persistence": persistence,
                               "rnn-only": mean_row(replace(config, kind=RNN_ONLY))})
     assert report.read_text().startswith(table + "\naggregate over independent runs:\n")
+
+
+def test_eval_scores_a_loaded_rnn_only_model_as_loaded(tmp_path, dataset, rnn_model_file,
+                                                       capsys):
+    """At --runs 1 the model's row scores the loaded RNN-only model: it is
+    not retrained."""
+    capsys.readouterr()
+    assert main(["eval", "--model", str(rnn_model_file), "--data", str(dataset),
+                 "--compare", "persistence"]) == 0
+    model = load_model(rnn_model_file)
+    x_test, y_test = split_windows(load_series(dataset), model.config.lag_r, 0.8)[1]
+    table = comparison_table(
+        {"rnn-only": evaluate_predictions(forecast_batch(model, x_test), y_test, 3),
+         "persistence": evaluate_predictions(persistence_predictions(x_test), y_test, 3)})
+    assert capsys.readouterr().out == table
+
+
+def test_eval_divergence_in_one_method_counts_only_there(tmp_path, dataset, model_file,
+                                                         capsys):
+    """A hybrid run that diverges is counted in the hybrid block alone; the
+    manifest still lists every seed."""
+    fit = training.fit_forecaster
+
+    def hybrid_diverges_at_seed_1(data, config, hp):
+        if config.kind != RNN_ONLY and hp.seed == 1:
+            raise DivergenceError(0, 0, float("nan"))
+        return fit(data, config, hp)
+
+    report = tmp_path / "r.txt"
+    with mock.patch.object(training, "fit_forecaster", hybrid_diverges_at_seed_1):
+        assert main(["eval", "--model", str(model_file), "--data", str(dataset),
+                     "--report-out", str(report), "--runs", "3", "--epochs", "1",
+                     "--compare", "rnn-only"]) == 0
+    text = report.read_text()
+    for label, completed, diverged in (("", 2, 1), (" (rnn-only)", 3, 0)):
+        block = text.split(f"aggregate over independent runs{label}:\n")[1]
+        agg = json.JSONDecoder().raw_decode(block)[0]
+        assert (agg["n_runs"], agg["n_completed"], agg["n_diverged"]) == (3, completed, diverged)
+    assert json.loads((tmp_path / "r.txt.manifest.json").read_text())["seeds"] == [0, 1, 2]
 
 
 def test_run_benchmark_prints_every_method_row(tmp_path, capsys):

@@ -10,6 +10,8 @@ from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MA
                                     build_windows, fit_normalizer, generate_synthetic_series,
                                     load_series, save_series, split_windows)
 
+from conftest import identity_normalizer
+
 
 def make_series(t, n, seed=0):
     rng = np.random.default_rng(seed)
@@ -274,7 +276,7 @@ def test_layouts_are_explicit(rng):
 
 
 def test_identity_normalizer_is_a_noop(rng):
-    stats = Normalizer.identity(4)
+    stats = identity_normalizer(4)
     x = rng.normal(size=(3, 4))
     npt.assert_array_equal(stats.apply(x), x)
 

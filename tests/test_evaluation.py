@@ -10,6 +10,8 @@ from gridcast.data_pipeline import (SyntheticConfig, build_windows,
                                     generate_synthetic_series)
 from gridcast.forecaster import ModelConfig, forecast_batch, init_model
 
+from conftest import identity_normalizer
+
 
 # ---------------------------------------------------------------------------
 # nRMSE
@@ -152,7 +154,7 @@ def test_persistence_nonzero_on_default_synthetic():
 
 def test_evaluate_shapes_and_determinism(rng):
     cfg = ModelConfig(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
-    model = init_model(cfg, 0)
+    model = init_model(cfg, 0, identity_normalizer(cfg.n_features))
     x = rng.normal(size=(7, 4, 3))
     y = rng.normal(size=(7, 4))
     rep1 = evaluate_predictions(forecast_batch(model, x), y, 2)

@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 from gridcast import layers
 from gridcast.data_pipeline import Normalizer
-from gridcast.forecaster import (HYBRID, RNN_ONLY, ForecastModel, ModelConfig,
+from gridcast.forecaster import (HYBRID, KERNEL, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, forecast_batch, forecast_next,
                                  init_model, load_model, model_backward, model_forward,
                                  param_layout, save_model)
 
-from conftest import branch_param_names, param_count, rnn_cell_step
+from conftest import branch_param_names, identity_normalizer, param_count, rnn_cell_step
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 
 
 def tiny_model(seed=0, **overrides):
     cfg = ModelConfig(**{**TINY, **overrides})
-    return init_model(cfg, seed)
+    return init_model(cfg, seed, identity_normalizer(cfg.n_features))
 
 
 def cnn_branch_forward(model: ForecastModel, window):
@@ -58,7 +58,7 @@ def test_param_count_default_conv_total():
     cfg = ModelConfig(n_buses=118)
     conv = 118 * (236 * 2 + 1)
     assert conv == 55814
-    model = init_model(cfg, 0)
+    model = init_model(cfg, 0, identity_normalizer(cfg.n_features))
     assert model.params["conv_w"].size + model.params["conv_b"].size == conv
     dense2 = model.params["dense2_w"].size + model.params["dense2_b"].size
     assert dense2 == 118 * 236 + 118
@@ -82,7 +82,7 @@ def test_param_count_matches_enumeration():
             rnn_hidden=int(rng.integers(1, 10)),
             kind=HYBRID if rng.integers(0, 2) else RNN_ONLY,
         )
-        model = init_model(cfg, int(rng.integers(0, 1000)))
+        model = init_model(cfg, int(rng.integers(0, 1000)), identity_normalizer(cfg.n_features))
         assert param_count(cfg) == sum(p.size for p in model.params.values())
 
 
@@ -116,7 +116,7 @@ def test_init_deterministic_per_seed():
 
 def test_init_weights_within_documented_bound():
     cfg = ModelConfig(n_buses=3, lag_r=6)
-    model = init_model(cfg, 1)
+    model = init_model(cfg, 1, identity_normalizer(cfg.n_features))
     for name, (_, shape) in param_layout(cfg).items():
         p = model.params[name]
         if len(shape) == 1:
@@ -129,13 +129,42 @@ def test_init_weights_within_documented_bound():
             assert np.abs(p).max() <= bound
 
 
+@pytest.mark.parametrize("kind", [HYBRID, RNN_ONLY])
+@pytest.mark.parametrize("lag", [3, 10])
+@pytest.mark.parametrize("widths", [dict(n_buses=1), dict(n_buses=2), dict(n_buses=14),
+                                    dict(n_buses=118),
+                                    dict(n_buses=2, conv_filters=5, dense1_width=3, rnn_hidden=7)],
+                         ids=["n1", "n2", "n14", "n118", "n2-widths"])
+def test_init_draws_replay_bit_for_bit(kind, lag, widths):
+    """init_model equals, as uint64, its documented draw replayed by hand:
+    default_rng(seed) in param_layout order, each weight U(-b, b) with the
+    Glorot bound b = sqrt(6 / (fan_in + fan_out)), conv fans 2n * KERNEL in
+    and K * KERNEL out, (out, in) for every other weight; zero biases."""
+    cfg = ModelConfig(lag_r=lag, kind=kind, **widths)
+    model = init_model(cfg, 11, identity_normalizer(cfg.n_features))
+    assert list(model.params) == list(param_layout(cfg))
+    rng = np.random.default_rng(11)
+    for name, (_, shape) in param_layout(cfg).items():
+        if len(shape) == 1:
+            expected = np.zeros(shape)
+        else:
+            if name == "conv_w":
+                fan_in, fan_out = cfg.n_features * KERNEL, cfg.conv_filters * KERNEL
+            else:
+                fan_out, fan_in = shape
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            expected = rng.uniform(-bound, bound, shape)
+        npt.assert_array_equal(model.params[name].view(np.uint64), expected.view(np.uint64),
+                               err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # branch forwards
 # ---------------------------------------------------------------------------
 
 def test_branch_output_widths_reference_scale():
     cfg = ModelConfig(n_buses=118)
-    model = init_model(cfg, 0)
+    model = init_model(cfg, 0, identity_normalizer(cfg.n_features))
     window = np.zeros((236, 10))
     assert cnn_branch_forward(model, window).shape == (118,)
     assert rnn_branch_forward(model, window).shape == (118,)
@@ -241,7 +270,7 @@ def test_forecast_batch_matches_stacked_forecast_next(n, seed):
 
 def test_forecast_rejects_bad_windows(rng):
     model = tiny_model()
-    with pytest.raises(layers.ShapeError):
+    with pytest.raises(ValueError, match=r"expected windows of shape \(B, 4, 3\)"):
         forecast_next(model, rng.normal(size=(4, 5)))
     bad = rng.normal(size=(4, 3))
     bad[0, 0] = np.nan
@@ -531,5 +560,5 @@ def test_mismatched_config_rejects_wrong_window(tmp_path, rng):
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
-    with pytest.raises(layers.ShapeError):
+    with pytest.raises(ValueError, match=r"expected windows of shape \(B, 4, 3\)"):
         forecast_next(back, rng.normal(size=(6, 3)))

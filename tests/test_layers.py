@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gridcast import layers
 from gridcast.data_pipeline import StateSeries, build_windows
-from gridcast.layers import (ShapeError, conv1d_backward, conv1d_forward,
+from gridcast.layers import (conv1d_backward, conv1d_forward,
                              dense_backward, dense_forward, maxpool_backward,
                              maxpool_forward, stacked_rnn_backward,
                              stacked_rnn_forward)
@@ -88,9 +88,9 @@ def test_conv_output_shape():
 
 
 def test_conv_rejects_mismatched_filter():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="filter rows 6 != input rows 4"):
         conv1d_forward(np.zeros((1, 4, 5)), np.zeros((2, 6, 2)), np.zeros(2))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="sequence length 1 shorter than kernel 2"):
         conv1d_forward(np.zeros((1, 4, 1)), np.zeros((2, 4, 2)), np.zeros(2))
 
 
@@ -146,7 +146,7 @@ def test_maxpool_reference_scale_width():
 
 
 def test_maxpool_rejects_narrow_input():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="cannot pool width 1 in pairs"):
         maxpool_forward(np.zeros((1, 2, 1)))
 
 
@@ -220,7 +220,7 @@ def test_dense_zero_weight_relu_bias():
 
 
 def test_dense_rejects_length_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="input width 3 != weight cols 4"):
         dense_forward(np.ones((1, 3)), np.zeros((2, 4)), np.zeros(2))
 
 
@@ -281,10 +281,10 @@ def test_rnn_cell_hand_scalar():
 
 
 def test_rnn_cell_rejects_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="input length"):
         rnn_cell_step(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2),
                       np.zeros(4), np.zeros(2))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="recurrent weight must be square"):
         rnn_cell_step(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(2),
                       np.zeros(3), np.zeros(2))
 
@@ -313,7 +313,7 @@ def test_stack_rejects_dimension_mismatch(rng):
     x = rng.normal(size=(1, 4, 3))
     bad = [(np.zeros((3, 4)), np.zeros((3, 3)), np.zeros(3)),
            (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros(2))]  # expects dim 4, gets 3
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="layer 1: expects input dim 4, got 3"):
         stacked_rnn_forward(x, bad)
 
 

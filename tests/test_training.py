@@ -15,10 +15,12 @@ from gridcast.training import (EPSILON, AdamState, DivergenceError, Hyperparams,
                                adam_step, fit_forecaster, joint_loss_and_grad,
                                multi_run, train)
 
-from conftest import (batch_loss_and_grads, branch_param_names, central_diff, oracle_adam_step,
-                      oracle_joint_loss_and_grad, oracle_train, param_count, rel_err)
+from conftest import (batch_loss_and_grads, branch_param_names, central_diff, identity_normalizer,
+                      oracle_adam_step, oracle_joint_loss_and_grad, oracle_train, param_count,
+                      rel_err)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
+TINY_NORM = identity_normalizer(2 * TINY["n_buses"])
 
 
 def tiny_data(n_samples=6, seed=0):
@@ -153,7 +155,7 @@ def test_hyperparam_validation():
 # ---------------------------------------------------------------------------
 
 def test_zero_epochs_returns_model_unchanged():
-    model = init_model(ModelConfig(**TINY), 0)
+    model = init_model(ModelConfig(**TINY), 0, TINY_NORM)
     trained, report = train(model, tiny_data(), Hyperparams(epochs=0))
     for k in model.params:
         npt.assert_array_equal(trained.params[k], model.params[k])
@@ -161,7 +163,7 @@ def test_zero_epochs_returns_model_unchanged():
 
 
 def test_train_deterministic():
-    model = init_model(ModelConfig(**TINY), 1)
+    model = init_model(ModelConfig(**TINY), 1, TINY_NORM)
     hp = Hyperparams(epochs=5, seed=3)
     a, ra = train(model, tiny_data(), hp)
     b, rb = train(model, tiny_data(), hp)
@@ -172,13 +174,13 @@ def test_train_deterministic():
 
 def test_final_train_loss_is_full_batch_loss_of_trained_model():
     x, y = tiny_data()
-    trained, report = train(init_model(ModelConfig(**TINY), 1), (x, y),
+    trained, report = train(init_model(ModelConfig(**TINY), 1, TINY_NORM), (x, y),
                             Hyperparams(epochs=3, batch_size=4, seed=2))
     assert report.final_train_loss == batch_loss_and_grads(trained, x, y)[0]
 
 
 def test_train_does_not_mutate_input_model():
-    model = init_model(ModelConfig(**TINY), 1)
+    model = init_model(ModelConfig(**TINY), 1, TINY_NORM)
     before = {k: p.copy() for k, p in model.params.items()}
     trained, _ = train(model, tiny_data(), Hyperparams(epochs=3))
     for k in before:
@@ -188,7 +190,8 @@ def test_train_does_not_mutate_input_model():
 
 def test_trained_params_are_views_of_one_flat_vector():
     cfg = ModelConfig(**TINY)
-    trained, _ = train(init_model(cfg, 1), tiny_data(), Hyperparams(epochs=2))
+    model = init_model(cfg, 1, identity_normalizer(cfg.n_features))
+    trained, _ = train(model, tiny_data(), Hyperparams(epochs=2))
     theta = trained.params["conv_w"].base
     assert theta.ndim == 1 and theta.size == param_count(cfg)
     assert theta.dtype == np.float64 and theta.flags.c_contiguous
@@ -201,7 +204,7 @@ def test_trained_params_are_views_of_one_flat_vector():
 
 
 def test_train_rejects_misshapen_parameter():
-    model = init_model(ModelConfig(**TINY), 1)
+    model = init_model(ModelConfig(**TINY), 1, TINY_NORM)
     model.params["rnn0_b"] = np.zeros(5)
     with pytest.raises(ValueError, match="rnn0_b"):
         train(model, tiny_data(), Hyperparams(epochs=1))
@@ -215,7 +218,7 @@ def test_train_rejects_misshapen_parameter():
 @example(kind="rnn-only", n_samples=9, batch_size=4, epochs=2, seed=2)
 @settings(max_examples=30, deadline=None)
 def test_train_bit_identical_to_oracle_loop(kind, n_samples, batch_size, epochs, seed):
-    model = init_model(ModelConfig(**TINY, kind=kind), seed)
+    model = init_model(ModelConfig(**TINY, kind=kind), seed, TINY_NORM)
     data = tiny_data(n_samples, seed)
     hp = Hyperparams(epochs=epochs, batch_size=batch_size, seed=seed, learning_rate=1e-2)
     trained, report = train(model, data, hp)
@@ -228,7 +231,7 @@ def test_train_bit_identical_to_oracle_loop(kind, n_samples, batch_size, epochs,
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_detection():
-    model = init_model(ModelConfig(**TINY), 1)
+    model = init_model(ModelConfig(**TINY), 1, TINY_NORM)
     hp = Hyperparams(epochs=2, learning_rate=1e3)
     x, y = tiny_data()
     y = y * 1e200  # squared error overflows to inf on the first batch
@@ -238,7 +241,7 @@ def test_divergence_detection():
 
 
 def test_branch_gradient_isolation(rng):
-    model = init_model(ModelConfig(**TINY), 4)
+    model = init_model(ModelConfig(**TINY), 4, TINY_NORM)
     x, y = tiny_data(3, 7)
     pred, cache = forecaster.model_forward(model, x)
     n = 2
@@ -260,7 +263,7 @@ def test_whole_model_gradient_matches_finite_differences():
     cfg = ModelConfig(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4, rnn_layers=3)
     for seed in range(10):
         g = np.random.default_rng(seed)
-        model = init_model(cfg, seed)
+        model = init_model(cfg, seed, identity_normalizer(cfg.n_features))
         for k in model.params:
             model.params[k] = g.normal(scale=0.5, size=model.params[k].shape)
         x = g.normal(size=(3, 4, 3))
@@ -279,7 +282,7 @@ def test_memorization_small():
     x = rng.normal(size=(5, 4, 3))
     y = rng.normal(size=(5, 4)) * 0.3
     cfg = ModelConfig(n_buses=2, lag_r=3, conv_filters=4, dense1_width=16, rnn_hidden=8)
-    model = init_model(cfg, 0)
+    model = init_model(cfg, 0, identity_normalizer(cfg.n_features))
     hp = Hyperparams(epochs=800, batch_size=5, learning_rate=3e-3, seed=0)
     trained, report = train(model, (x, y), hp)
     assert report.final_train_loss <= 1e-5
