@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
@@ -152,9 +152,7 @@ def cmd_train(args):
 
 def _mean_report(reports):
     """Field-wise mean of MetricsReports of runs on the same test windows."""
-    return replace(reports[0], **{
-        f.name: float(np.mean([getattr(rep, f.name) for rep in reports]))
-        for f in fields(reports[0]) if f.name != "n_test_windows"})
+    return evaluation.MetricsReport(*(float(np.mean(f)) for f in zip(*map(astuple, reports))))
 
 
 def cmd_eval(args):

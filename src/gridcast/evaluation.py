@@ -30,7 +30,6 @@ class MetricsReport:
     max_ae_magnitude: float
     avg_ae_angle: float
     max_ae_angle: float
-    n_test_windows: int
 
 
 def normalized_rmse(preds, truths):
@@ -69,7 +68,6 @@ def evaluate_predictions(preds, truths, n_buses):
         max_ae_magnitude=float(ae_vm.max()),
         avg_ae_angle=float(ae_va.mean()),
         max_ae_angle=float(ae_va.max()),
-        n_test_windows=preds.shape[0],
     )
 
 

@@ -137,6 +137,7 @@ def init_model(cfg: ModelConfig, seed, normalizer: Normalizer) -> ForecastModel:
 # ---------------------------------------------------------------------------
 
 def _check_window_batch(cfg, x):
+    """x as float64 (B, 2n, r) windows; run once where windows enter: forecast_batch, train."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != cfg.n_features or x.shape[2] != cfg.lag_r:
         raise ValueError(
@@ -150,7 +151,6 @@ def model_forward(model: ForecastModel, x):
     Output layout: first n entries magnitudes, last n angles (both kinds).
     """
     cfg, p = model.config, model.params
-    x = _check_window_batch(cfg, x)
     cache = {}
     rnn = [(p[f"rnn{l}_wx"], p[f"rnn{l}_wh"], p[f"rnn{l}_b"]) for l in range(cfg.rnn_layers)]
     top, cache["rnn"] = layers.stacked_rnn_forward(x, rnn)
@@ -159,7 +159,7 @@ def model_forward(model: ForecastModel, x):
         conv, cache["conv"] = layers.conv1d_forward(x, p["conv_w"], p["conv_b"])
         pooled, cache["pool"] = layers.maxpool_forward(conv)
         d1, cache["dense1"] = layers.dense_forward(  # map-major flatten
-            pooled.reshape(len(pooled), -1), p["dense1_w"], p["dense1_b"], activation="relu")
+            pooled.reshape(len(pooled), -1), p["dense1_w"], p["dense1_b"], relu=True)
         vm, cache["dense2"] = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
         out = np.concatenate([vm, out], axis=1)
     return out, cache
@@ -200,12 +200,17 @@ def forecast_next(model: ForecastModel, window):
 
 
 def forecast_batch(model: ForecastModel, windows):
-    """Raw (B, 2n, r) windows -> (B, 2n) forecasts in physical units."""
+    """Raw (B, 2n, r) windows -> (B, 2n) forecasts in physical units. A
+    floating-point overflow on the way is a ValueError, never a warning."""
     windows = _check_window_batch(model.config, windows)
     if not np.isfinite(windows).all():
         raise ValueError("windows contain non-finite values")
-    pred, _ = model_forward(model, model.normalizer.apply_window(windows))
-    return model.normalizer.invert(pred)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            pred, _ = model_forward(model, model.normalizer.apply_window(windows))
+            return model.normalizer.invert(pred)
+    except FloatingPointError as exc:  # an ArithmeticError, not a ValueError
+        raise ValueError(f"the forecast overflows float64: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ returns its output together with a cache object, and the matching backward
 consumes that cache plus the upstream gradient. Inputs carry a leading
 batch axis.
 
+The kernels trust their caller and check no shape: `forecaster` owns the
+shape rules and enforces them where arrays enter the program.
+
 A backward returns its parameter gradients, and dx only where a caller
 reads it (dense, maxpool): the conv and RNN inputs are data windows.
 
@@ -46,16 +49,8 @@ import numpy as np
 
 def conv1d_forward(x, w, b):
     """x: (B, C, r); w: (K, C, kernel); b: (K,) -> out (B, K, r-kernel+1), cache."""
-    if x.ndim != 3 or w.ndim != 3:
-        raise ValueError(f"conv1d expects 3-d input and weights, got {x.shape} / {w.shape}")
     b_, c, r = x.shape
     k, _, kernel = w.shape
-    if w.shape[1] != c:
-        raise ValueError(f"filter rows {w.shape[1]} != input rows {c}")
-    if r < kernel:
-        raise ValueError(f"sequence length {r} shorter than kernel {kernel}")
-    if b.shape != (k,):
-        raise ValueError(f"bias shape {b.shape} != ({k},)")
     p = r - kernel + 1
     xt = np.ascontiguousarray(x.transpose(0, 2, 1))
     # taps[:, t, j] = w[:, :, j] @ x[:, :, t]; output position q sums taps[:, q + j, j]
@@ -86,9 +81,7 @@ def conv1d_backward(cache, d_out):
 def maxpool_forward(x):
     """x: (B, K, m) -> out (B, K, m // 2), cache. Pairs columns (0, 1),
     (2, 3), ...; an odd last column is dropped."""
-    b_, k_, m = x.shape
-    if m < 2:
-        raise ValueError(f"cannot pool width {m} in pairs")
+    m = x.shape[2]
     first, last = x[:, :, 0:m - 1:2], x[:, :, 1:m:2]
     second = last > first  # a tie keeps the first column
     return np.where(second, last, first), (x.shape, second)
@@ -107,23 +100,17 @@ def maxpool_backward(cache, d_out):
 # dense
 # ---------------------------------------------------------------------------
 
-def dense_forward(x, w, b, activation="linear"):
-    """x: (B, in); w: (out, in); b: (out,) -> (B, out), cache."""
-    if activation not in ("linear", "relu"):
-        raise ValueError(f"unknown activation {activation!r}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"input width {x.shape[1]} != weight cols {w.shape[1]}")
-    if b.shape != (w.shape[0],):
-        raise ValueError(f"bias shape {b.shape} != ({w.shape[0]},)")
+def dense_forward(x, w, b, relu=False):
+    """x: (B, in); w: (out, in); b: (out,) -> (B, out), cache; ReLU if relu."""
     out = x @ w.T + b
-    if activation == "relu":
+    if relu:
         np.maximum(out, 0.0, out=out)
-    return out, (x, w, out, activation)
+    return out, (x, w, out, relu)
 
 
 def dense_backward(cache, d_out):
-    x, w, out, activation = cache
-    d_pre = d_out * (out > 0.0) if activation == "relu" else d_out
+    x, w, out, relu = cache
+    d_pre = d_out * (out > 0.0) if relu else d_out
     dw = d_pre.T @ x
     db = d_pre.sum(axis=0)
     dx = d_pre @ w
@@ -141,18 +128,7 @@ def stacked_rnn_forward(x, layer_params):
     (column 0 first). Returns the top layer's final hidden state (B, H)
     and the cache needed for backpropagation through time.
     """
-    if not layer_params:
-        raise ValueError("at least one recurrent layer is required")
-    b_, d, r = x.shape
-    in_dim = d
-    for i, (wx, wh, bias) in enumerate(layer_params):
-        if wh.shape[0] != wh.shape[1] or wx.shape[0] != wh.shape[0]:
-            raise ValueError(f"layer {i}: inconsistent weight shapes {wx.shape} / {wh.shape}")
-        if wx.shape[1] != in_dim:
-            raise ValueError(f"layer {i}: expects input dim {wx.shape[1]}, got {in_dim}")
-        if bias.shape != (wh.shape[0],):
-            raise ValueError(f"layer {i}: bias shape {bias.shape} != ({wh.shape[0]},)")
-        in_dim = wh.shape[0]
+    b_, _, r = x.shape
     xs = np.ascontiguousarray(x.transpose(2, 0, 1))
     below = xs
     hidden = []

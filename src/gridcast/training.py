@@ -135,12 +135,12 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
     Returns (trained model, TrainReport). The input model is not mutated;
     the trained model's params are views into one flat parameter vector.
     """
+    cfg = model.config
     x, y = windows
-    x = np.asarray(x, dtype=float)
+    x = forecaster._check_window_batch(cfg, x)
     y = np.asarray(y, dtype=float)
     if len(x) < 1:
         raise ValueError("need at least one training sample")
-    cfg = model.config
     layout = forecaster.param_layout(cfg)
     for k, (_, shape) in layout.items():
         if model.params[k].shape != shape:

@@ -63,13 +63,13 @@ def _layer_gradcheck(seed):
     _probe_check(lambda: layers.maxpool_forward(x),
                  lambda c, p: (layers.maxpool_backward(c, p),),
                  (x,), probe)
-    # dense, both activations
-    for act in ("relu", "linear"):
+    # dense, ReLU and linear
+    for relu in (True, False):
         x = g.normal(size=(3, 4))
         w = g.normal(size=(2, 4))
         b = g.normal(size=2)
         probe = g.normal(size=(3, 2))
-        _probe_check(lambda: layers.dense_forward(x, w, b, act),
+        _probe_check(lambda: layers.dense_forward(x, w, b, relu=relu),
                      lambda c, p: (lambda pg, dx: (pg[0], pg[1], dx))(
                          *layers.dense_backward(c, p)),
                      (w, b, x), probe)
@@ -155,7 +155,7 @@ def test_criterion_2_shape_oracle_reference_scale():
     flat = pooled.reshape(1, -1)
     assert flat.shape == (1, 472)
     d1, _ = layers.dense_forward(flat, model.params["dense1_w"],
-                                 model.params["dense1_b"], "relu")
+                                 model.params["dense1_b"], relu=True)
     assert d1.shape == (1, 236)
     d2, _ = layers.dense_forward(d1, model.params["dense2_w"], model.params["dense2_b"])
     assert d2.shape == (1, 118)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -386,6 +387,18 @@ def test_eval_shape_mismatch_exit_code(tmp_path, model_file):
     assert rc == 1
 
 
+def test_eval_on_all_zero_test_states_exit_code(tmp_path, dataset, model_file, capsys):
+    """Every test-window target 0 leaves nRMSE undefined: a data error."""
+    lines = dataset.read_text().splitlines()
+    n_train = int(0.8 * (len(lines) - 1))
+    zeroed = [",".join([row.split(",")[0]] + ["0.0"] * 6) for row in lines[1 + n_train:]]
+    data = tmp_path / "zero.csv"
+    data.write_text("\n".join(lines[:1 + n_train] + zeroed) + "\n")
+    rc = main(["eval", "--model", str(model_file), "--data", str(data)])
+    assert rc == 1
+    assert "truth norm is zero" in capsys.readouterr().err
+
+
 def test_eval_unknown_compare_entry(tmp_path, dataset, model_file):
     rc = main(["eval", "--model", str(model_file), "--data", str(dataset),
                "--report-out", str(tmp_path / "r.txt"), "--compare", "arima"])
@@ -432,7 +445,7 @@ def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, mo
         runs = [evaluate_predictions(p, y_test, 3) for p in preds]
         assert n_diverged == 0 and len(runs) == 2 and runs[0].nrmse != runs[1].nrmse
         return replace(runs[0], **{f.name: float(np.mean([getattr(m, f.name) for m in runs]))
-                                   for f in fields(runs[0]) if f.name != "n_test_windows"})
+                                   for f in fields(runs[0])})
 
     persistence = evaluate_predictions(persistence_predictions(x_test), y_test, 3)
     table = comparison_table({"hybrid": mean_row(config), "persistence": persistence,
@@ -559,6 +572,35 @@ def test_forecast_v1_model_exit_code(tmp_path, dataset, model_file, capsys):
     assert rc == 1
     err = capsys.readouterr().err  # a v1 file's first line is "{": no header to name it
     assert str(old) in err and "re-train" in err
+
+
+def test_forecast_bus_count_mismatch_exit_code(tmp_path, model_file, capsys):
+    other = tmp_path / "other.csv"
+    assert main(["gen-data", "--buses", "2", "--length", "60", "--out", str(other)]) == 0
+    capsys.readouterr()
+    rc = main(["forecast", "--model", str(model_file), "--data", str(other),
+               "--at-instance", "50"])
+    assert rc == 1
+    assert "model expects 3 buses, data has 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["forecast", "--at-instance", "150"], ["eval"]],
+                         ids=["forecast", "eval"])
+def test_forecast_overflow_is_data_error_without_warning(tmp_path, dataset, model_file,
+                                                         capsys, argv):
+    """Every cell 1e308 is finite, so the series loads; normalizing it
+    overflows, and that is a named error, not a warning and a nan forecast."""
+    lines = dataset.read_text().splitlines()
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines[:1] + [",".join([row.split(",")[0]] + ["1e308"] * 6)
+                                            for row in lines[1:]]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv[:1] + ["--model", str(model_file), "--data", str(huge)] + argv[1:])
+    assert rc == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "the forecast overflows float64" in err and "Warning" not in err
 
 
 def test_forecast_out_of_range(tmp_path, dataset, model_file):

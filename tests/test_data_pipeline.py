@@ -80,6 +80,19 @@ def test_load_missing_header(tmp_path):
         load_series(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty file"),
+    ("t,vm_1,va_1,vm_2\n0,1.0,2.0,1.0\n", "line 1: header has 4 columns"),
+    ("t,va_1,vm_1\n0,1.0,2.0\n", r"line 1: header does not match t,vm_1..vm_1,va_1..va_1"),
+    ("t,vm_1,va_1\n\n", "line 2: no data rows"),
+], ids=["empty", "odd-column-count", "wrong-names", "no-data-rows"])
+def test_load_rejects_malformed_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=message):
+        load_series(path)
+
+
 def test_save_load_round_trip(tmp_path):
     series = generate_synthetic_series(SyntheticConfig(n_buses=4, length=50, seed=3))
     path = tmp_path / "synth.csv"

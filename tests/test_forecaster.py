@@ -191,7 +191,7 @@ def test_cnn_branch_matches_manual_composition(rng):
     out = cnn_branch_forward(model, window)
     conv, _ = layers.conv1d_forward(window[None], p["conv_w"], p["conv_b"])
     pooled, _ = layers.maxpool_forward(conv)
-    d1, _ = layers.dense_forward(pooled.reshape(1, -1), p["dense1_w"], p["dense1_b"], "relu")
+    d1, _ = layers.dense_forward(pooled.reshape(1, -1), p["dense1_w"], p["dense1_b"], relu=True)
     d2, _ = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
     npt.assert_array_equal(out, d2[0])
 
@@ -213,7 +213,7 @@ def test_flatten_is_map_major_forward_and_backward(rng):
     assert q == 2
     columns = [(f, j) for f in range(k) for j in range(q)]
     flat = np.stack([pooled[:, f, j] for f, j in columns], axis=1)
-    d1, d1_cache = layers.dense_forward(flat, p["dense1_w"], p["dense1_b"], "relu")
+    d1, d1_cache = layers.dense_forward(flat, p["dense1_w"], p["dense1_b"], relu=True)
     vm, d2_cache = layers.dense_forward(d1, p["dense2_w"], p["dense2_b"])
     npt.assert_allclose(out[:, :n], vm, rtol=0, atol=1e-12)
 
@@ -485,6 +485,16 @@ def _transposed_dense3_w(header):
     return _header_bytes(header)
 
 
+def _one_array_short(header):
+    header["arrays"] = header["arrays"][:-1]
+    return _header_bytes(header)
+
+
+def _first_std_negative(body):
+    # the payload opens with normalizer.mean, then normalizer.std: 4 values each
+    return body[:32] + np.array([-1.0], dtype="<f8").tobytes() + body[40:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda header, body: _header_bytes(header) + b"\n" + body[:-1],
      "array dense3_b: the payload ends early"),
@@ -493,8 +503,15 @@ def _transposed_dense3_w(header):
     (lambda header, body: _header_bytes(header) + body, "unreadable model header"),
     (lambda header, body: _transposed_dense3_w(header) + b"\n" + body,
      "array dense3_w: stored"),
+    (lambda header, body: b"[1,2]\n" + body, "is not a model file"),
+    (lambda header, body: _header_bytes(header), "no one-line header followed by a newline"),
+    (lambda header, body: _one_array_short(header) + b"\n" + body,
+     "does not list the 19 arrays"),
+    (lambda header, body: _header_bytes(header) + b"\n" + _first_std_negative(body),
+     "normalizer std must be positive"),
 ], ids=["one-byte-short", "eight-bytes-extra", "no-newline-after-header",
-        "header-shape-disagrees-with-config"])
+        "header-shape-disagrees-with-config", "json-but-not-a-model",
+        "header-only-without-newline", "arrays-list-one-short", "std-not-positive"])
 def test_load_rejects_corrupt_payload(tmp_path, corrupt, message):
     path = tmp_path / "model.json"
     header, arrays = _saved(path)

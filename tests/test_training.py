@@ -210,6 +210,17 @@ def test_train_rejects_misshapen_parameter():
         train(model, tiny_data(), Hyperparams(epochs=1))
 
 
+def test_train_rejects_windows_of_another_lag_before_the_first_batch():
+    """The kernels of an RNN-only model run windows of any lag, so the
+    window check at train's entry is what rejects them."""
+    model = init_model(ModelConfig(**TINY, kind="rnn-only"), 1, TINY_NORM)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(6, 4, 4)), rng.normal(size=(6, 4))
+    with mock.patch.object(forecaster, "model_forward", side_effect=AssertionError), \
+            pytest.raises(ValueError, match=r"expected windows of shape \(B, 4, 3\), got"):
+        train(model, (x, y), Hyperparams(epochs=1))
+
+
 @given(kind=st.sampled_from(["hybrid", "rnn-only"]),
        n_samples=st.integers(1, 9), batch_size=st.integers(1, 5),
        epochs=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
