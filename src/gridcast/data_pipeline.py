@@ -111,10 +111,11 @@ class Normalizer:
 def fit_normalizer(train: StateSeries) -> Normalizer:
     if len(train) == 0:
         raise ValueError("cannot fit a normalizer on an empty series")
-    mean = train.values.mean(axis=0)
-    # an exact power-of-two scale keeps the squares of values beyond 1e154 finite
+    # an exact power-of-two scale keeps sums near 1e308 and squares beyond 1e154 finite
     scale = np.ldexp(1.0, -np.frexp(np.abs(train.values).max(axis=0))[1])
-    std = (train.values * scale).std(axis=0) / scale
+    scaled = train.values * scale
+    mean = scaled.mean(axis=0) / scale
+    std = scaled.std(axis=0) / scale
     return Normalizer(mean, np.where(std == 0.0, 1.0, std))
 
 
@@ -126,16 +127,17 @@ def check_train_fraction(train_fraction):
 def build_windows(series: StateSeries, r):
     """Eq-style lag windowing: returns (X, Y) with X shape (T-r, 2n, r) and
     Y shape (T-r, 2n). Sample i's window holds states i..i+r-1 column-wise
-    in chronological order; its target is state i+r."""
+    in chronological order; its target is state i+r. X and Y are read-only
+    views of series.values, no copies; X is time-major (X[i, :, k] is row i+k)."""
     t = len(series)
     if r < 1:
         raise ValueError(f"lag must be >= 1, got {r}")
     if t <= r:
         raise ValueError(f"series length {t} must exceed lag {r}")
-    n_samples = t - r
     v = series.values
-    x = np.stack([v[i:i + r].T for i in range(n_samples)], axis=0)
-    y = v[r:].copy()
+    x = np.lib.stride_tricks.sliding_window_view(v, r, axis=0)[:t - r]
+    y = v[r:]
+    y.flags.writeable = False
     return x, y
 
 
@@ -176,7 +178,8 @@ def load_series(path) -> StateSeries:
     if header != csv_header(n):
         raise DataFormatError(
             f"header does not match t,vm_1..vm_{n},va_1..va_{n}", line=1)
-    rows, line_of_row = [], []
+    table = np.empty((len(lines) - 1, n_cols))  # blank lines leave rows unused
+    line_of_row = []
     for idx, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -185,13 +188,13 @@ def load_series(path) -> StateSeries:
             raise DataFormatError(
                 f"ragged row: {len(cells)} cells, expected {n_cols}", line=idx)
         try:
-            rows.append([float(c) for c in cells])
+            table[len(line_of_row)] = list(map(float, cells))
         except ValueError as exc:
             raise DataFormatError(f"non-numeric cell: {exc}", line=idx) from None
         line_of_row.append(idx)
-    if not rows:
+    if not line_of_row:
         raise DataFormatError("no data rows", line=2)
-    table = np.array(rows, dtype=float)
+    table = table[:len(line_of_row)]
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise DataFormatError("non-finite cell", line=line_of_row[int(np.argmin(finite))])
@@ -231,8 +234,8 @@ def save_series(series: StateSeries, path):
     """Write the CSV format read by load_series; floats via repr (lossless)."""
     with atomic_write(path) as fh:
         fh.write(",".join(csv_header(series.n_buses)) + "\n")
-        for t, row in enumerate(series.values):
-            fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        for t, row in enumerate(series.values.tolist()):
+            fh.write(str(t) + "," + ",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

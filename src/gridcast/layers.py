@@ -12,8 +12,9 @@ A backward returns its parameter gradients, and dx only where a caller
 reads it (dense, maxpool): the conv and RNN inputs are data windows.
 
 The conv and RNN kernels are BLAS GEMMs. Input windows may arrive in any
-memory layout (C-ordered, or the time-major one of `build_windows` and
-`series.values[a:b].T`); each kernel copies into the layout its GEMMs read.
+memory layout: C-ordered, or time-major like `series.values[a:b].T`, the
+read-only views of `build_windows` and the minibatches gathered from them.
+Each kernel copies into the layout its GEMMs read.
   * conv, on the (B, r, C) view xt: pre[:, q] = sum_j xt[:, q + j] @ w[:, :, j].T + b,
     one GEMM for all taps and columns, then shifted tap slices summed.
     Backward: dw[..., j] = d_pre^T @ xt[:, j:j + p].

@@ -167,8 +167,7 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
             adam_step(theta, g, state, hp)
             total += loss * len(idx)
         epoch_losses.append(total / n)
-    pred, _ = forecaster.model_forward(work, x)
-    final_loss, _ = joint_loss_and_grad(pred, y, model.config.n_buses)
+    final_loss, _ = joint_loss_and_grad(forecaster.predict(work, x), y, cfg.n_buses)
     return work, TrainReport(epoch_losses, asdict(hp), n, float(final_loss))
 
 

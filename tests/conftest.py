@@ -81,6 +81,13 @@ def rnn_cell_step(wx, wh, b, below, prev_hidden):
     return np.maximum(wx @ below + wh @ prev_hidden + b, 0.0)
 
 
+def oracle_build_windows(series, r):
+    """Reference lag windows: a stacked copy of every window values[i:i + r].T
+    and a copy of the targets values[r:]. Returns (X, Y)."""
+    v = series.values
+    return np.stack([v[i:i + r].T for i in range(len(v) - r)]), v[r:].copy()
+
+
 def _conv_windows(x, kernel):
     # x: (B, C, r) -> (B, C, kernel, r - kernel + 1)
     p = x.shape[2] - kernel + 1

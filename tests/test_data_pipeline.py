@@ -10,7 +10,7 @@ from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MA
                                     build_windows, fit_normalizer, generate_synthetic_series,
                                     load_series, save_series, split_windows)
 
-from conftest import identity_normalizer
+from conftest import identity_normalizer, oracle_build_windows
 
 
 def make_series(t, n, seed=0):
@@ -91,6 +91,26 @@ def test_load_rejects_malformed_file(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataFormatError, match=message):
         load_series(path)
+
+
+def test_load_skips_blank_rows_between_and_after_data(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("t,vm_1,va_1\n0,1.0,2.0\n\n1,1.5,-2.0\n  \n2,0.5,3.25\n\n\n")
+    series = load_series(path)
+    assert series.values.flags.c_contiguous
+    npt.assert_array_equal(series.values, [[1.0, 2.0], [1.5, -2.0], [0.5, 3.25]])
+
+
+def test_save_series_writes_each_value_as_repr_of_its_float(tmp_path):
+    """The CSV's bytes: every cell is repr(float(v)), the shortest string
+    that reads back as the same float64, subnormals and signed zeros too."""
+    values = np.array([[0.1, -0.0, 1e308, 5e-324], [1 / 3, 1.0, -2.5e-7, 1e16]])
+    path = tmp_path / "grid.csv"
+    save_series(StateSeries(2, values), path)
+    rows = "".join(f"{t}," + ",".join(repr(float(v)) for v in row) + "\n"
+                   for t, row in enumerate(values))
+    assert path.read_text() == "t,vm_1,vm_2,va_1,va_2\n" + rows
+    assert load_series(path).values.tobytes() == values.tobytes()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -196,6 +216,20 @@ def test_window_count_formula(t, r):
         assert len(x) == t - r
 
 
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 30))
+@settings(max_examples=40)
+def test_windows_are_read_only_views_equal_to_stacked_copies(n, r, extra):
+    series = make_series(r + extra, n, seed=n * 1000 + r * 40 + extra)
+    x, y = build_windows(series, r)
+    want_x, want_y = oracle_build_windows(series, r)
+    assert x.shape == want_x.shape and y.shape == want_y.shape
+    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+    for a in (x, y):
+        assert np.shares_memory(a, series.values)
+        assert not a.flags.writeable
+    assert series.values.flags.writeable
+
+
 def test_rejects_too_short_series():
     with pytest.raises(ValueError):
         build_windows(make_series(5, 1), 5)
@@ -255,14 +289,24 @@ def test_stats_depend_only_on_training_partition():
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-600, 0, 600]))
 @settings(max_examples=30, deadline=None)
 def test_fit_normalizer_bit_identical_under_power_of_two_scaling(seed, j):
-    """mean and std scale exactly with the data by 2**j, and at j = 0 the
-    std keeps numpy's bits; at j = 600 the raw squares would overflow."""
+    """mean and std scale exactly with the data by 2**j, and at j = 0 both
+    keep numpy's bits; at j = 600 the raw sums and squares would overflow."""
     values = np.random.default_rng(seed).normal(size=(20, 4)) * [1.0, 30.0, 1e-3, 5.0]
     base = fit_normalizer(StateSeries(2, values))
-    npt.assert_array_equal(base.std, values.std(axis=0))
+    npt.assert_array_equal(base.mean.view(np.uint64), values.mean(axis=0).view(np.uint64))
+    npt.assert_array_equal(base.std.view(np.uint64), values.std(axis=0).view(np.uint64))
     scaled = fit_normalizer(StateSeries(2, np.ldexp(values, j)))
     for got, want in ((scaled.mean, base.mean), (scaled.std, base.std)):
         npt.assert_array_equal(got.view(np.uint64), np.ldexp(want, j).view(np.uint64))
+
+
+def test_fit_normalizer_of_values_near_the_float64_limit():
+    """The sum of ten 1e308 cells overflows float64; the power-of-two scale
+    keeps it finite, so the mean is exact and no warning is raised."""
+    with np.errstate(all="raise"):
+        stats = fit_normalizer(StateSeries(3, np.full((10, 6), 1e308)))
+    npt.assert_array_equal(stats.mean, np.full(6, 1e308))
+    npt.assert_array_equal(stats.std, np.ones(6))
 
 
 def test_fit_rejects_empty():

@@ -2,6 +2,7 @@ import base64
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridcast import layers
+from gridcast import forecaster, layers
 from gridcast.data_pipeline import Normalizer
 from gridcast.forecaster import (HYBRID, KERNEL, RNN_ONLY, ForecastModel, ModelConfig,
                                  ModelFormatError, forecast_batch, forecast_next,
@@ -256,16 +257,19 @@ def test_forecast_layout_and_normalization(rng):
 @settings(max_examples=25, deadline=None)
 def test_forecast_batch_matches_stacked_forecast_next(n, seed):
     # every batch size 1..3n, so B == 2n (a square (B, 2n) prediction
-    # batch) is always among them
+    # batch) is always among them; with chunks of 2 windows, every batch
+    # above 2 runs in several forwards, the last one short when B is odd
     rng = np.random.default_rng(seed)
     norm = Normalizer(rng.normal(scale=10.0, size=2 * n), rng.uniform(0.5, 3.0, 2 * n))
     cfg = ModelConfig(n_buses=n, lag_r=3, conv_filters=2, rnn_hidden=4)
     model = init_model(cfg, seed, norm)
     windows = norm.mean[:, None] + norm.std[:, None] * rng.normal(size=(3 * n, 2 * n, 3))
-    for b in range(1, 3 * n + 1):
-        batch = forecast_batch(model, windows[:b])
-        single = np.stack([forecast_next(model, w) for w in windows[:b]])
-        assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single)), b
+    for chunk in (forecaster.FORWARD_CHUNK, 2):
+        with mock.patch.object(forecaster, "FORWARD_CHUNK", chunk):
+            for b in range(1, 3 * n + 1):
+                batch = forecast_batch(model, windows[:b])
+                single = np.stack([forecast_next(model, w) for w in windows[:b]])
+                assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single)), (chunk, b)
 
 
 def test_forecast_rejects_bad_windows(rng):
