@@ -74,9 +74,7 @@ SYNTHETIC_FLAGS = (("--buses", "buses", "n_buses"), ("--length", "length", "leng
 
 def cmd_gen_data(args):
     t0 = time.perf_counter()
-    if args.length < 12:
-        raise UsageError(f"--length must be >= 12 (lag 10 needs r+1 states), got {args.length}")
-    cfg = SyntheticConfig(n_buses=1, length=2)  # valid; each flag then replaces one field
+    cfg = SyntheticConfig(n_buses=1, length=12)  # valid; each flag then replaces one field
     for flag, dest, field in SYNTHETIC_FLAGS:
         cfg = _checked(flag, getattr(args, dest), lambda value: replace(cfg, **{field: value}))
     try:

@@ -75,7 +75,8 @@ class StateSeries:
 @dataclass
 class Normalizer:
     """Per-feature z-scoring statistics (mean, std), fitted on training
-    data only; a feature with zero variance gets std 1, so it maps to 0."""
+    data only; a constant feature gets its value as mean and std 1, so it
+    maps to 0."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -88,11 +89,11 @@ class Normalizer:
 
     def apply(self, states):
         """z-score states laid out (..., 2n)."""
-        return (self._aligned(states) - self.mean) / self.std
+        return (states - self.mean) / self.std
 
     def invert(self, states):
         """Map z-scored states laid out (..., 2n) back to physical units."""
-        return self._aligned(states) * self.std + self.mean
+        return states * self.std + self.mean
 
     def apply_window(self, windows):
         """z-score windows laid out (..., 2n, r): features along rows, time
@@ -100,23 +101,16 @@ class Normalizer:
         so a C-ordered batch of windows comes back C-ordered."""
         return self.apply(np.swapaxes(windows, -1, -2)).swapaxes(-1, -2)
 
-    def _aligned(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim < 1 or x.shape[-1] != self.mean.shape[0]:
-            raise ValueError(f"expected {self.mean.shape[0]} features on the last "
-                             f"axis, got shape {x.shape}")
-        return x
-
 
 def fit_normalizer(train: StateSeries) -> Normalizer:
-    if len(train) == 0:
-        raise ValueError("cannot fit a normalizer on an empty series")
     # an exact power-of-two scale keeps sums near 1e308 and squares beyond 1e154 finite
     scale = np.ldexp(1.0, -np.frexp(np.abs(train.values).max(axis=0))[1])
     scaled = train.values * scale
     mean = scaled.mean(axis=0) / scale
     std = scaled.std(axis=0) / scale
-    return Normalizer(mean, np.where(std == 0.0, 1.0, std))
+    # a constant column's mean can round off its value, z-scoring it to +-1: map it to 0
+    constant = (train.values == train.values[0]).all(axis=0)
+    return Normalizer(np.where(constant, train.values[0], mean), np.where(constant, 1.0, std))
 
 
 def check_train_fraction(train_fraction):
@@ -125,15 +119,11 @@ def check_train_fraction(train_fraction):
 
 
 def build_windows(series: StateSeries, r):
-    """Eq-style lag windowing: returns (X, Y) with X shape (T-r, 2n, r) and
+    """Eq-style lag windowing for T >= r: returns (X, Y) with X shape (T-r, 2n, r) and
     Y shape (T-r, 2n). Sample i's window holds states i..i+r-1 column-wise
     in chronological order; its target is state i+r. X and Y are read-only
     views of series.values, no copies; X is time-major (X[i, :, k] is row i+k)."""
     t = len(series)
-    if r < 1:
-        raise ValueError(f"lag must be >= 1, got {r}")
-    if t <= r:
-        raise ValueError(f"series length {t} must exceed lag {r}")
     v = series.values
     x = np.lib.stride_tricks.sliding_window_view(v, r, axis=0)[:t - r]
     y = v[r:]
@@ -259,8 +249,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_buses < 1:
             raise ValueError("n_buses must be >= 1")
-        if self.length < 2:
-            raise ValueError("length must be >= 2")
+        if self.length < 12:
+            raise ValueError("length must be >= 12 (lag 10 needs r+1 states)")
         if self.period < 2:
             raise ValueError("period must be >= 2")
         if not (0 <= self.noise_std_magnitude < math.inf and 0 <= self.noise_std_angle < math.inf):

@@ -140,11 +140,11 @@ def init_model(cfg: ModelConfig, seed, normalizer: Normalizer) -> ForecastModel:
 # ---------------------------------------------------------------------------
 
 def _check_window_batch(cfg, x):
-    """x as float64 (B, 2n, r) windows; run once where windows enter: forecast_batch, train."""
+    """x as float64 (B >= 1, 2n, r) windows; checked where windows enter: forecast_batch, train."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[1] != cfg.n_features or x.shape[2] != cfg.lag_r:
-        raise ValueError(
-            f"expected windows of shape (B, {cfg.n_features}, {cfg.lag_r}), got {x.shape}")
+    if x.ndim != 3 or x.shape[0] < 1 or x.shape[1:] != (cfg.n_features, cfg.lag_r):
+        raise ValueError(f"expected windows of shape (B, {cfg.n_features}, {cfg.lag_r}), "
+                         f"got {x.shape}; B must be >= 1")
     return x
 
 

@@ -79,9 +79,7 @@ class TrainReport:
 
 def joint_loss_and_grad(pred, target, n_buses):
     """Batch loss: mean over samples of mse(magnitudes) + mse(angles);
-    returns (loss, dLoss/dPred). pred and target are (B, 2n)."""
-    if pred.shape != target.shape or pred.shape[1:] != (2 * n_buses,):
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape} for n={n_buses}")
+    returns (loss, dLoss/dPred). pred and target are (B, 2n) arrays."""
     b = pred.shape[0]
     n = n_buses
     d = pred - target
@@ -103,10 +101,7 @@ def adam_step(theta, g, state: AdamState, hp: Hyperparams):
         theta = theta - lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPSILON)
     in the same order, so the result is bit-identical to that formula. The
     ufuncs are element-wise, so sweeping ADAM_BLOCK elements at a time
-    changes no bit."""
-    if not theta.ndim == 1 or not theta.shape == g.shape == state.m.shape == state.v.shape:
-        raise ValueError(f"adam_step needs equal flat vectors: theta {theta.shape}, gradient "
-                         f"{g.shape}, moments {state.m.shape} / {state.v.shape}")
+    changes no bit. theta, g, m and v are equal flat vectors that `train` allocates."""
     state.t += 1
     c1, c2 = 1 - BETA1 ** state.t, 1 - BETA2 ** state.t
     for lo in range(0, theta.size, ADAM_BLOCK):
@@ -139,8 +134,8 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
     x, y = windows
     x = forecaster._check_window_batch(cfg, x)
     y = np.asarray(y, dtype=float)
-    if len(x) < 1:
-        raise ValueError("need at least one training sample")
+    if y.shape != (len(x), cfg.n_features):
+        raise ValueError(f"expected targets of shape {(len(x), cfg.n_features)}, got {y.shape}")
     layout = forecaster.param_layout(cfg)
     for k, (_, shape) in layout.items():
         if model.params[k].shape != shape:

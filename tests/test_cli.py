@@ -58,9 +58,13 @@ def test_gen_data_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_data_rejects_tiny_length(tmp_path):
-    rc = main(["gen-data", "--length", "1", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+def test_gen_data_rejects_tiny_length(tmp_path, capsys):
+    """SyntheticConfig's length rule, reported like every other flag's."""
+    for length in ("1", "11"):
+        rc = main(["gen-data", "--length", length, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"error: --length {length}: length must be >= 12" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_error_exit_code():

@@ -195,6 +195,11 @@ def test_single_window_boundary():
     npt.assert_array_equal(x[0], series.values[:10].T)
 
 
+def test_series_rejects_values_of_another_width():
+    with pytest.raises(ValueError, match=r"expected \(T, 6\) values, got \(5, 5\)"):
+        StateSeries(3, np.zeros((5, 5)))
+
+
 def test_window_columns_chronological():
     series = make_series(20, 3)
     x, y = build_windows(series, 5)
@@ -208,12 +213,12 @@ def test_window_columns_chronological():
 @settings(max_examples=60)
 def test_window_count_formula(t, r):
     series = make_series(t, 1, seed=t * 100 + r)
-    if t <= r:
+    if t < r:
         with pytest.raises(ValueError):
             build_windows(series, r)
     else:
-        x, _ = build_windows(series, r)
-        assert len(x) == t - r
+        x, y = build_windows(series, r)
+        assert len(x) == len(y) == t - r
 
 
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 30))
@@ -231,8 +236,12 @@ def test_windows_are_read_only_views_equal_to_stacked_copies(n, r, extra):
 
 
 def test_rejects_too_short_series():
+    """T == r leaves no window; T < r is numpy's ValueError. split_windows
+    is the check that rejects a partition shorter than r + 1."""
+    x, y = build_windows(make_series(5, 1), 5)
+    assert x.shape == (0, 2, 5) and y.shape == (0, 2)
     with pytest.raises(ValueError):
-        build_windows(make_series(5, 1), 5)
+        build_windows(make_series(4, 1), 5)
 
 
 def test_no_leakage_between_partitions():
@@ -249,12 +258,15 @@ def test_no_leakage_between_partitions():
 # normalizer
 # ---------------------------------------------------------------------------
 
-def test_constant_feature_maps_to_zero():
-    values = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-    series = StateSeries(1, values)
-    stats = fit_normalizer(series)
-    assert stats.std[0] == 1.0
-    npt.assert_array_equal(stats.apply(values)[:, 0], np.zeros(10))
+@pytest.mark.parametrize("value, t", [(3.0, 10), (1.06, 160), (1.045, 1600), (0.1, 160)])
+def test_constant_feature_maps_to_zero(value, t):
+    """A constant column z-scores to exactly 0, also where its computed
+    mean rounds off the value; a state next to it stays on its scale."""
+    values = np.column_stack([np.full(t, value), np.arange(float(t))])
+    stats = fit_normalizer(StateSeries(1, values))
+    assert stats.mean[0] == value and stats.std[0] == 1.0
+    npt.assert_array_equal(stats.apply(values)[:, 0], np.zeros(t))
+    assert stats.apply(np.array([value + 1e-3, 0.0]))[0] == pytest.approx(1e-3)
 
 
 def test_normalizer_round_trip(rng):
@@ -381,9 +393,12 @@ def test_zero_noise_is_exactly_periodic():
 
 
 def test_config_validation():
+    SyntheticConfig(n_buses=1, length=12)
+    with pytest.raises(ValueError, match="length must be >= 12"):
+        SyntheticConfig(n_buses=1, length=11)
     with pytest.raises(ValueError):
-        SyntheticConfig(n_buses=0, length=10)
+        SyntheticConfig(n_buses=0, length=12)
     with pytest.raises(ValueError):
-        SyntheticConfig(n_buses=2, length=10, period=1)
+        SyntheticConfig(n_buses=2, length=12, period=1)
     with pytest.raises(ValueError):
-        SyntheticConfig(n_buses=2, length=10, noise_std_magnitude=-1.0)
+        SyntheticConfig(n_buses=2, length=12, noise_std_magnitude=-1.0)

@@ -276,6 +276,8 @@ def test_forecast_rejects_bad_windows(rng):
     model = tiny_model()
     with pytest.raises(ValueError, match=r"expected windows of shape \(B, 4, 3\)"):
         forecast_next(model, rng.normal(size=(4, 5)))
+    with pytest.raises(ValueError, match=r"shape \(B, 4, 3\), got \(0, 4, 3\)"):
+        forecast_batch(model, np.zeros((0, 4, 3)))  # not numpy's empty-concatenate error
     bad = rng.normal(size=(4, 3))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

@@ -113,14 +113,6 @@ def test_adam_deterministic():
     npt.assert_array_equal(sa.m, sb.m)
 
 
-def test_adam_rejects_shape_mismatch():
-    theta = np.zeros(2)
-    state = AdamState(theta.size)
-    with pytest.raises(ValueError):
-        adam_step(theta, np.zeros(3), state, Hyperparams())
-    assert state.t == 0
-
-
 FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -227,6 +219,22 @@ def test_train_rejects_windows_of_another_lag_before_the_first_batch():
     x, y = rng.normal(size=(6, 4, 4)), rng.normal(size=(6, 4))
     with mock.patch.object(forecaster, "model_forward", side_effect=AssertionError), \
             pytest.raises(ValueError, match=r"expected windows of shape \(B, 4, 3\), got"):
+        train(model, (x, y), Hyperparams(epochs=1))
+
+
+@pytest.mark.parametrize("n_x, n_y, match", [
+    (6, 7, r"expected targets of shape \(6, 4\), got \(7, 4\)"),
+    (6, 5, r"expected targets of shape \(6, 4\), got \(5, 4\)"),
+    (0, 0, r"expected windows of shape \(B, 4, 3\), got \(0, 4, 3\)"),
+], ids=["y-longer", "y-shorter", "empty"])
+def test_train_rejects_mis_sized_targets_or_empty_batch_before_the_first_batch(n_x, n_y, match):
+    """y must be (len(x), 2n) and x must hold a window; without the entry
+    check a longer y trains a whole epoch before the final loss fails."""
+    model = init_model(ModelConfig(**TINY), 1, TINY_NORM)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(n_x, 4, 3)), rng.normal(size=(n_y, 4))
+    with mock.patch.object(forecaster, "model_forward", side_effect=AssertionError), \
+            pytest.raises(ValueError, match=match):
         train(model, (x, y), Hyperparams(epochs=1))
 
 
@@ -374,6 +382,12 @@ def test_multi_run_seeds_are_distinct_and_reproducible(small_series):
     for i, got in enumerate(runs):
         npt.assert_array_equal(got, fit_forecaster(data, cfg, replace(hp, seed=1 + i))[2])
     assert len({evaluation.normalized_rmse(preds, data[1][1]) for preds in runs}) == 3
+
+
+def test_multi_run_rejects_zero_runs(small_series):
+    data = split_windows(small_series, 5, 0.8)
+    with pytest.raises(ValueError, match="n_runs must be >= 1"):
+        multi_run(data, ModelConfig(n_buses=3, lag_r=5), Hyperparams(epochs=1), n_runs=0)
 
 
 def test_multi_run_excludes_and_counts_diverged_runs(small_series):
