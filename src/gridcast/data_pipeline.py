@@ -95,16 +95,16 @@ class Normalizer:
         """Map z-scored states laid out (..., 2n) back to physical units."""
         return states * self.std + self.mean
 
-    def apply_window(self, windows):
-        """z-score windows laid out (..., 2n, r): features along rows, time
-        along the last axis. Elementwise ops keep the input's memory order,
-        so a C-ordered batch of windows comes back C-ordered."""
-        return self.apply(np.swapaxes(windows, -1, -2)).swapaxes(-1, -2)
+
+def power_of_two_scale(peak):
+    """The exact power of two that puts each peak >= 0 in [0.5, 1), at most
+    2**1021 (finite, so a subnormal peak scales into [2**-53, 0.5)); a peak of
+    0 gets 1. Scaled sums near 1e308 and squares beyond 1e154 stay finite."""
+    return np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
 
 
 def fit_normalizer(train: StateSeries) -> Normalizer:
-    # an exact power-of-two scale keeps sums near 1e308 and squares beyond 1e154 finite
-    scale = np.ldexp(1.0, -np.frexp(np.abs(train.values).max(axis=0))[1])
+    scale = power_of_two_scale(np.abs(train.values).max(axis=0))
     scaled = train.values * scale
     mean = scaled.mean(axis=0) / scale
     std = scaled.std(axis=0) / scale

@@ -8,8 +8,8 @@ nRMSE definition used throughout this package:
     nrmse = sqrt(sum_t ||pred_t - truth_t||^2) / sqrt(sum_t ||truth_t||^2)
 
 over all components and all test instances; 0 for perfect predictions,
-1 for all-zero predictions. Both sums run over values scaled by the exact
-power of two that puts max |truth| in [0.5, 1), so no square overflows.
+1 for all-zero predictions. Both sums run over values scaled by
+`data_pipeline.power_of_two_scale(max |truth|)`, so no square overflows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_pipeline import atomic_write
+from .data_pipeline import atomic_write, power_of_two_scale
 
 
 @dataclass
@@ -37,7 +37,7 @@ def normalized_rmse(preds, truths):
     truths = np.asarray(truths, dtype=float)
     if preds.shape != truths.shape or preds.size == 0:
         raise ValueError(f"bad shapes {preds.shape} vs {truths.shape}")
-    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(truths)))[1])
+    scale = power_of_two_scale(np.max(np.abs(truths)))
     num = np.sqrt(np.sum(((preds - truths) * scale) ** 2))
     den = np.sqrt(np.sum((truths * scale) ** 2))
     if den == 0.0:

@@ -2,13 +2,14 @@
 baseline, parameter initialization and layout, and model persistence.
 
 Architecture (hybrid): both branches read the full 2n x r window of
-normalized states. The convolutional branch (conv -> relu -> maxpool ->
-flatten -> dense relu -> dense linear) emits the n voltage magnitudes;
-the stacked recurrent branch (L recurrent layers -> dense linear) emits
-the n phase angles. The RNN-only baseline is the same recurrent stack
-followed by a single linear head with 2n outputs. The CNN branch is the
-paper's fixed design: conv kernel KERNEL = 2, max pool POOL = 2, and every
-dense layer has a bias.
+states, which `model_forward` takes in physical units and z-scores first,
+the one place windows are normalized. The convolutional branch (conv ->
+relu -> maxpool -> flatten -> dense relu -> dense linear) emits the n
+voltage magnitudes; the stacked recurrent branch (L recurrent layers ->
+dense linear) emits the n phase angles. The RNN-only baseline is the same
+recurrent stack followed by a single linear head with 2n outputs. The CNN
+branch is the paper's fixed design: conv kernel KERNEL = 2, max pool POOL
+= 2, and every dense layer has a bias.
 
 The flatten is map-major: the pooled (B, K, q) maps become (B, K*q) rows
 holding all q positions of feature map 0, then of map 1, ... So column
@@ -136,7 +137,7 @@ def init_model(cfg: ModelConfig, seed, normalizer: Normalizer) -> ForecastModel:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward through the whole model (batched, normalized units)
+# forward / backward through the whole model (batched; z-scored predictions)
 # ---------------------------------------------------------------------------
 
 def _check_window_batch(cfg, x):
@@ -149,12 +150,11 @@ def _check_window_batch(cfg, x):
 
 
 def model_forward(model: ForecastModel, x):
-    """x: normalized windows (B, 2n, r) -> predictions (B, 2n), cache.
-
-    Output layout: first n entries magnitudes, last n angles (both kinds).
-    """
+    """x: physical-unit windows (B, 2n, r), z-scored on their (B, r, 2n) view
+    -> z-scored predictions (B, 2n), first n magnitudes, last n angles; cache."""
     cfg, p = model.config, model.params
     cache = {}
+    x = model.normalizer.apply(np.swapaxes(x, 1, 2)).swapaxes(1, 2)
     rnn = [(p[f"rnn{l}_wx"], p[f"rnn{l}_wh"], p[f"rnn{l}_b"]) for l in range(cfg.rnn_layers)]
     top, cache["rnn"] = layers.stacked_rnn_forward(x, rnn)
     out, cache["dense3"] = layers.dense_forward(top, p["dense3_w"], p["dense3_b"])
@@ -192,12 +192,11 @@ def model_backward(model: ForecastModel, cache, d_out):
     return grads
 
 
-def predict(model: ForecastModel, x, raw=False):
-    """model_forward's predictions (B, 2n) for windows x (B, 2n, r), run
-    FORWARD_CHUNK windows at a time, so only one chunk's layer caches (and,
-    for raw physical-unit windows, its z-scored copy) are alive at once."""
-    prep = model.normalizer.apply_window if raw else np.asarray
-    return np.concatenate([model_forward(model, prep(x[lo:lo + FORWARD_CHUNK]))[0]
+def predict(model: ForecastModel, x):
+    """model_forward's z-scored predictions (B, 2n) for physical-unit windows
+    x (B, 2n, r), run FORWARD_CHUNK windows at a time, so only one chunk's
+    z-scored copy and layer caches are alive at once."""
+    return np.concatenate([model_forward(model, x[lo:lo + FORWARD_CHUNK])[0]
                            for lo in range(0, len(x), FORWARD_CHUNK)])
 
 
@@ -219,7 +218,7 @@ def forecast_batch(model: ForecastModel, windows):
         raise ValueError("windows contain non-finite values")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return model.normalizer.invert(predict(model, windows, raw=True))
+            return model.normalizer.invert(predict(model, windows))
     except FloatingPointError as exc:  # an ArithmeticError, not a ValueError
         raise ValueError(f"the forecast overflows float64: {exc}") from None
 

@@ -2,9 +2,11 @@
 fit on one `data_pipeline.split_windows` split, and the independent-runs
 protocol, which returns each seed's test predictions for callers to score.
 
-The loss for one sample is mse(magnitude head) + mse(angle head) in
-normalized units, unweighted; a batch averages the per-sample losses.
-Training is fully deterministic given (data, hyperparameters, seed).
+`train` takes physical-unit windows, as `build_windows` returns them;
+`forecaster.model_forward` z-scores them, and `train` its targets. The
+loss for one sample is mse(magnitude head) + mse(angle head) in z-score
+units, unweighted; a batch averages the per-sample losses. Training is
+fully deterministic given (data, hyperparameters, seed).
 
 `train` packs the parameters once into one contiguous float64 vector
 theta, in `forecaster.param_layout` order; the working model's params are
@@ -24,7 +26,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import evaluation, forecaster
-from .data_pipeline import StateSeries, build_windows, fit_normalizer
+from .data_pipeline import build_windows, fit_normalizer
 from .forecaster import ForecastModel, ModelConfig
 
 
@@ -125,7 +127,7 @@ def adam_step(theta, g, state: AdamState, hp: Hyperparams):
 
 
 def train(model: ForecastModel, windows, hp: Hyperparams):
-    """Minibatch Adam training on normalized (X, Y) arrays.
+    """Minibatch Adam on physical-unit windows X (N, 2n, r) and targets Y (N, 2n).
 
     Returns (trained model, TrainReport). The input model is not mutated;
     the trained model's params are views into one flat parameter vector.
@@ -136,6 +138,7 @@ def train(model: ForecastModel, windows, hp: Hyperparams):
     y = np.asarray(y, dtype=float)
     if y.shape != (len(x), cfg.n_features):
         raise ValueError(f"expected targets of shape {(len(x), cfg.n_features)}, got {y.shape}")
+    y = model.normalizer.apply(y)
     layout = forecaster.param_layout(cfg)
     for k, (_, shape) in layout.items():
         if model.params[k].shape != shape:
@@ -171,11 +174,8 @@ def fit_forecaster(data, config: ModelConfig, hp: Hyperparams):
     normalizer and the windows of the training partition, training, and test
     forecasts. Returns (model, report, test predictions in physical units)."""
     train_part, (x_test, y_test) = data
-    norm = fit_normalizer(train_part)
-    x_train, y_train = build_windows(
-        StateSeries(train_part.n_buses, norm.apply(train_part.values)), config.lag_r)
-    model = forecaster.init_model(config, hp.seed, norm)
-    model, report = train(model, (x_train, y_train), hp)
+    model = forecaster.init_model(config, hp.seed, fit_normalizer(train_part))
+    model, report = train(model, build_windows(train_part, config.lag_r), hp)
     preds = forecaster.forecast_batch(model, x_test)
     report.test_nrmse = evaluation.normalized_rmse(preds, y_test)
     return model, report, preds

@@ -25,7 +25,8 @@ def branch_param_names(cfg, branch):
 
 
 def batch_loss_and_grads(model, x, y):
-    """Forward + backward over one normalized batch; returns (loss, grads).
+    """Forward + backward over one batch of windows x (model_forward
+    z-scores them) and z-scored targets y; returns (loss, grads).
     The gradcheck handle: the loss and gradients `train` steps on."""
     pred, cache = forecaster.model_forward(model, x)
     loss, d_pred = joint_loss_and_grad(pred, y, model.config.n_buses)
@@ -206,6 +207,7 @@ def oracle_train(model, windows, hp):
     """Reference minibatch loop: a fresh ForecastModel and fresh per-name
     arrays every step, and oracle_adam_step. Returns (params, epoch_losses)."""
     x, y = (np.asarray(a, dtype=float) for a in windows)
+    y = model.normalizer.apply(y)  # like train, z-score the targets once
     params = {k: p.copy() for k, p in model.params.items()}
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}

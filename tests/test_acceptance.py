@@ -204,13 +204,11 @@ def test_criterion_3_param_count_oracle():
 def test_criterion_4_memorization():
     series = generate_synthetic_series(SyntheticConfig(n_buses=3, length=31, seed=1))
     x, y = build_windows(series, 10)
-    norm = fit_normalizer(series)
-    xn, yn = norm.apply_window(x[:20]), norm.apply(y[:20])
     cfg = ModelConfig(n_buses=3, lag_r=10, conv_filters=8, dense1_width=32,
                       rnn_hidden=16)
-    model = init_model(cfg, 7, norm)
+    model = init_model(cfg, 7, fit_normalizer(series))
     hp = Hyperparams(epochs=4000, batch_size=20, learning_rate=3e-3, seed=7)
-    _, report = training.train(model, (xn, yn), hp)
+    _, report = training.train(model, (x[:20], y[:20]), hp)
     assert report.final_train_loss <= 1e-5
     _pass(f"criterion 4: 20-sample memorization reaches normalized loss "
           f"{report.final_train_loss:.2e} <= 1e-5 within 4000 epochs (seed 7)")

@@ -10,7 +10,12 @@ from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MA
                                     build_windows, fit_normalizer, generate_synthetic_series,
                                     load_series, save_series, split_windows)
 
+from gridcast.forecaster import ModelConfig, forecast_batch, init_model
+
 from conftest import identity_normalizer, oracle_build_windows
+
+# numpy's floating-point errors as exceptions; underflow into a subnormal is no error
+NO_FP_WARNINGS = dict(over="raise", divide="raise", invalid="raise", under="ignore")
 
 
 def make_series(t, n, seed=0):
@@ -200,6 +205,14 @@ def test_series_rejects_values_of_another_width():
         StateSeries(3, np.zeros((5, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_rejects_non_finite_values(bad):
+    values = np.ones((5, 2))
+    values[3, 1] = bad
+    with pytest.raises(ValueError, match="state series contains non-finite values"):
+        StateSeries(1, values)
+
+
 def test_window_columns_chronological():
     series = make_series(20, 3)
     x, y = build_windows(series, 5)
@@ -272,11 +285,8 @@ def test_constant_feature_maps_to_zero(value, t):
 def test_normalizer_round_trip(rng):
     series = make_series(50, 3, seed=9)
     stats = fit_normalizer(series)
-    x = rng.normal(size=(6, 10))
-    back = stats.invert(stats.apply_window(x).T).T  # x is a (2n, r) window
-    npt.assert_allclose(back, x, rtol=1e-12)
-    v = rng.normal(size=6)
-    npt.assert_allclose(stats.invert(stats.apply(v)), v, rtol=1e-12)
+    for v in (rng.normal(size=6), rng.normal(size=(10, 6))):  # a state, a batch of states
+        npt.assert_allclose(stats.invert(stats.apply(v)), v, rtol=1e-12)
 
 
 def test_normalized_train_moments():
@@ -321,6 +331,23 @@ def test_fit_normalizer_of_values_near_the_float64_limit():
     npt.assert_array_equal(stats.std, np.ones(6))
 
 
+def test_fit_normalizer_of_a_subnormal_peak():
+    """A column whose largest |value| is subnormal gets the finite scale
+    2**1021, not 2**1029 = inf: its std is positive and nothing warns."""
+    values = np.array([[0.0, 1.0], [1e-310, 2.0]])
+    with np.errstate(**NO_FP_WARNINGS):
+        stats = fit_normalizer(StateSeries(1, values))
+        z = stats.apply(values)
+    assert 0.0 < stats.std[0] < 1e-308
+    npt.assert_allclose(z, [[-1.0, -1.0], [1.0, 1.0]], rtol=1e-12)  # 1e-310 has 45 bits
+
+
+def test_fit_normalizer_of_a_constant_subnormal_column():
+    with np.errstate(**NO_FP_WARNINGS):
+        stats = fit_normalizer(StateSeries(1, [[1e-310, 1.0], [1e-310, 2.0]]))
+    assert stats.mean[0] == 1e-310 and stats.std[0] == 1.0
+
+
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
         fit_normalizer(StateSeries(1, np.zeros((0, 2))))
@@ -340,8 +367,11 @@ def test_layouts_are_explicit(rng):
     for states_only in (stats.apply, stats.invert):
         with pytest.raises(ValueError):
             states_only(windows)
-    with pytest.raises(ValueError):
-        stats.apply_window(windows.transpose(0, 2, 1))
+    # windows enter the model through forecast_batch, which takes (B, 2n, r) only
+    model = init_model(ModelConfig(n_buses=2, lag_r=5, conv_filters=2, rnn_hidden=4), 0, stats)
+    assert forecast_batch(model, windows).shape == (3, 4)
+    with pytest.raises(ValueError, match=r"expected windows of shape \(B, 4, 5\), got \(3, 5, 4\)"):
+        forecast_batch(model, windows.transpose(0, 2, 1))
 
 
 def test_identity_normalizer_is_a_noop(rng):

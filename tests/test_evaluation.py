@@ -67,6 +67,13 @@ def test_nrmse_bit_identical_under_power_of_two_scaling(pairs, j):
     assert np.array(got).view(np.uint64) == np.array(want).view(np.uint64)
 
 
+def test_nrmse_of_subnormal_truths():
+    """A subnormal max |truth| gets the finite scale 2**1021, not inf (nan)."""
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        assert normalized_rmse(np.zeros(2), [1e-310, 2e-310]) == 1.0
+        assert normalized_rmse([1e-310, 2e-310], [1e-310, 2e-310]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # absolute-error statistics
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def tiny_model(seed=0, **overrides):
 
 
 def cnn_branch_forward(model: ForecastModel, window):
-    """Normalized (2n, r) window -> n magnitude predictions (normalized)."""
+    """(2n, r) window -> n magnitude predictions (z-scored)."""
     if model.config.kind != HYBRID:
         raise ValueError("model has no convolutional branch")
     out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
@@ -36,7 +36,7 @@ def cnn_branch_forward(model: ForecastModel, window):
 
 
 def rnn_branch_forward(model: ForecastModel, window):
-    """Normalized (2n, r) window -> the recurrent head's output (normalized):
+    """(2n, r) window -> the recurrent head's output (z-scored):
     the n angles of a hybrid model, all 2n states of an RNN-only one."""
     out, _ = model_forward(model, np.asarray(window, dtype=float)[None])
     return out[0, model.config.n_buses:] if model.config.kind == HYBRID else out[0]
@@ -248,8 +248,11 @@ def test_forecast_layout_and_normalization(rng):
     window = rng.normal(size=(4, 3))
     out = forecast_next(model, window)
     assert out.shape == (4,)
-    vm = cnn_branch_forward(model, norm.apply_window(window))
-    va = rnn_branch_forward(model, norm.apply_window(window))
+    # the same parameters behind an identity normalizer, fed a window z-scored by hand
+    plain = ForecastModel(cfg, model.params, identity_normalizer(cfg.n_features))
+    z = (window - norm.mean[:, None]) / norm.std[:, None]
+    vm = cnn_branch_forward(plain, z)
+    va = rnn_branch_forward(plain, z)
     npt.assert_allclose(out, norm.invert(np.concatenate([vm, va])), atol=1e-12)
 
 

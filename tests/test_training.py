@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcast import evaluation, forecaster, training
-from gridcast.data_pipeline import SyntheticConfig, generate_synthetic_series, split_windows
-from gridcast.forecaster import ModelConfig, init_model, param_layout
+from gridcast.data_pipeline import (StateSeries, SyntheticConfig, build_windows, fit_normalizer,
+                                    generate_synthetic_series, split_windows)
+from gridcast.forecaster import ForecastModel, ModelConfig, init_model, param_layout
 from gridcast.training import (EPSILON, AdamState, DivergenceError, Hyperparams,
                                adam_step, fit_forecaster, joint_loss_and_grad,
                                multi_run, train)
@@ -255,6 +256,26 @@ def test_train_bit_identical_to_oracle_loop(kind, n_samples, batch_size, epochs,
     for k, p in want.items():
         assert np.array_equal(trained.params[k].view(np.uint64), p.view(np.uint64)), k
     assert report.epoch_losses == want_losses
+
+
+def test_train_on_physical_windows_equals_training_on_pre_z_scored_ones():
+    """train z-scores windows (in model_forward) and targets with the
+    model's normalizer: bit for bit what training the same weights behind an
+    identity normalizer on windows of the z-scored series gives."""
+    series = generate_synthetic_series(SyntheticConfig(n_buses=2, length=40, seed=3))
+    norm = fit_normalizer(series)
+    cfg = ModelConfig(**TINY)
+    model = init_model(cfg, 5, norm)
+    hp = Hyperparams(epochs=3, batch_size=4, seed=5, learning_rate=1e-2)
+    trained, report = train(model, build_windows(series, cfg.lag_r), hp)
+    plain = ForecastModel(cfg, model.params, identity_normalizer(cfg.n_features))
+    z_series = StateSeries(2, norm.apply(series.values))
+    want, want_report = train(plain, build_windows(z_series, cfg.lag_r), hp)
+    assert trained.normalizer is norm
+    for k, p in want.params.items():
+        assert np.array_equal(trained.params[k].view(np.uint64), p.view(np.uint64)), k
+    assert report.epoch_losses == want_report.epoch_losses
+    assert report.final_train_loss == want_report.final_train_loss
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
