@@ -1,10 +1,13 @@
 """Command-line workflow: synthesize data, train, evaluate/compare, forecast.
 
 Exit codes (stable contract): 0 success, 1 I/O or data error, 2 usage
-error, 3 numerical divergence. Every command writes a JSON run manifest
-beside its primary output; the manifest is the only output carrying wall
-clock, so repeated runs with identical flags produce byte-identical data
-artifacts on the same numpy and BLAS build at the same BLAS thread count.
+error, 3 numerical divergence. Each `cmd_*` returns its stdout text and
+what it wrote; `main` alone turns that into the run contract: it writes a
+JSON run manifest beside the command's primary output (`forecast` without
+`--out` has none), prints the text and maps errors to exit codes. The
+manifest is the only output carrying wall clock, so repeated runs with
+identical flags produce byte-identical data artifacts on the same numpy
+and BLAS build at the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import evaluation, forecaster, training
 from .data_pipeline import (DataFormatError, SyntheticConfig, atomic_write,
                             check_train_fraction, csv_header, generate_synthetic_series,
                             load_series, save_series, split_windows)
-from .forecaster import (RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig, load_model,
+from .forecaster import (HYBRID, RNN_ONLY, MODEL_FORMAT_VERSION, ModelConfig, load_model,
                          save_model)
 from .training import DivergenceError, Hyperparams
 
@@ -46,10 +49,10 @@ def _checked(flag, value, check):
         raise UsageError(f"{flag} {value}: {exc}") from None
 
 
-def _write_manifest(primary_out, command, args, seeds, inputs, outputs, t0):
+def _write_manifest(primary_out, args, seeds, inputs, outputs, t0):
     doc = {
         "manifest_version": MANIFEST_VERSION,
-        "command": command,
+        "command": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seeds": seeds,
         "inputs": inputs,
@@ -65,17 +68,20 @@ def _write_manifest(primary_out, command, args, seeds, inputs, outputs, t0):
 # gen-data
 # ---------------------------------------------------------------------------
 
-# (flag, argparse dest, SyntheticConfig field) of each gen-data flag
-SYNTHETIC_FLAGS = (("--buses", "buses", "n_buses"), ("--length", "length", "length"),
-                   ("--period", "period", "period"), ("--noise", "noise", "noise_std_magnitude"),
-                   ("--angle-noise", "angle_noise", "noise_std_angle"),
-                   ("--coupling", "coupling", "coupling"), ("--seed", "seed", "seed"))
+GEN_DATA = SyntheticConfig(n_buses=14, length=2000)  # the gen-data defaults
+
+# (flag, argparse dest, SyntheticConfig field, help) of each gen-data flag
+SYNTHETIC_FLAGS = (("--buses", "buses", "n_buses", None), ("--length", "length", "length", None),
+                   ("--period", "period", "period", None),
+                   ("--noise", "noise", "noise_std_magnitude", "magnitude noise std (p.u.)"),
+                   ("--angle-noise", "angle_noise", "noise_std_angle",
+                    "angle noise std (degrees)"),
+                   ("--coupling", "coupling", "coupling", None), ("--seed", "seed", "seed", None))
 
 
 def cmd_gen_data(args):
-    t0 = time.perf_counter()
-    cfg = SyntheticConfig(n_buses=1, length=12)  # valid; each flag then replaces one field
-    for flag, dest, field in SYNTHETIC_FLAGS:
+    cfg = GEN_DATA  # valid; each flag then replaces one field
+    for flag, dest, field, _ in SYNTHETIC_FLAGS:
         cfg = _checked(flag, getattr(args, dest), lambda value: replace(cfg, **{field: value}))
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -87,9 +93,8 @@ def cmd_gen_data(args):
         raise UsageError(f"the series of --buses {args.buses} and --length {args.length} "
                          "does not fit in memory: lower either") from None
     save_series(series, args.out)
-    _write_manifest(args.out, "gen-data", args, [args.seed], [], [args.out], t0)
-    print(f"wrote {len(series)} instances x {2 * args.buses} features to {args.out}")
-    return EXIT_OK
+    text = f"wrote {len(series)} instances x {2 * args.buses} features to {args.out}\n"
+    return text, args.out, [args.seed], [], [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,6 @@ def _hyperparams_from(args):
 
 
 def cmd_train(args):
-    t0 = time.perf_counter()
     hp = _hyperparams_from(args)
     # the --lag rule does not depend on the bus count, so a one-bus config
     # checks it before the data file is read
@@ -137,16 +141,20 @@ def cmd_train(args):
     report_path = args.report_out or (args.model_out + ".report.json")
     with atomic_write(report_path) as fh:
         fh.write(json.dumps(asdict(report), indent=1) + "\n")
-    _write_manifest(args.model_out, "train", args, [args.seed], [args.data],
-                    [args.model_out, report_path], t0)
-    print(f"trained {args.baseline} model: final train loss {report.final_train_loss:.6e}, "
-          f"test nRMSE {report.test_nrmse:.6e}")
-    return EXIT_OK
+    text = (f"trained {args.baseline} model: final train loss {report.final_train_loss:.6e}, "
+            f"test nRMSE {report.test_nrmse:.6e}\n")
+    return text, args.model_out, [args.seed], [args.data], [args.model_out, report_path]
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
+
+def _check_buses(model, series):
+    if series.n_buses != model.config.n_buses:
+        raise DataFormatError(
+            f"model expects {model.config.n_buses} buses, data has {series.n_buses}")
+
 
 def _mean_report(reports):
     """Field-wise mean of MetricsReports of runs on the same test windows."""
@@ -157,29 +165,27 @@ def cmd_eval(args):
     """One table row per method, the mean of the method's runs on the one
     split: persistence and the loaded model are one run each, a retrained
     method (the model's kind with --runs > 1, rnn-only) one per seed."""
-    t0 = time.perf_counter()
     compare = list(dict.fromkeys(c.strip() for c in (args.compare or "").split(",") if c.strip()))
     for c in compare:
-        if c not in ("persistence", "rnn-only"):
+        if c not in ("persistence", RNN_ONLY):
             raise UsageError(f"unknown --compare entry {c!r}")
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
-    retrains = args.runs > 1 or "rnn-only" in compare
+    retrains = args.runs > 1 or RNN_ONLY in compare
     if not retrains:
         for flag, dest, _, _ in TRAINING_FLAGS:
             if getattr(args, dest) is not None:
                 raise UsageError(f"{flag} only applies when eval retrains "
-                                 "(--runs > 1 or --compare rnn-only)")
+                                 f"(--runs > 1 or --compare {RNN_ONLY})")
     hp = _hyperparams_from(args)
 
     model = load_model(args.model)
     kind, n = model.config.kind, model.config.n_buses
-    if "rnn-only" in compare and kind == RNN_ONLY:
-        raise UsageError("--compare rnn-only needs a hybrid model; this one is RNN-only")
+    if RNN_ONLY in compare and kind == RNN_ONLY:
+        raise UsageError(f"--compare {RNN_ONLY} needs a {HYBRID} model; this one is RNN-only")
 
     series = load_series(args.data)
-    if series.n_buses != n:
-        raise DataFormatError(f"model expects {n} buses, data has {series.n_buses}")
+    _check_buses(model, series)
     data = _split(series, model.config.lag_r, args.train_fraction, "the model's lag")
     x_test, y_test = data[1]
 
@@ -216,10 +222,7 @@ def cmd_eval(args):
         outputs.append(args.trace_out)
     primary = args.report_out or args.trace_out or (args.model + ".eval")
     seeds = list(range(hp.seed, hp.seed + args.runs)) if retrains else []
-    _write_manifest(primary, "eval", args, seeds,
-                    [args.model, args.data], outputs, t0)
-    print(body, end="")
-    return EXIT_OK
+    return body, primary, seeds, [args.model, args.data], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +230,11 @@ def cmd_eval(args):
 # ---------------------------------------------------------------------------
 
 def cmd_forecast(args):
-    t0 = time.perf_counter()
     series = load_series(args.data)
-    n = series.n_buses
     model, r = None, 1  # the persistence baseline needs one preceding state
     if args.model != "persistence":
         model = load_model(args.model)
-        if model.config.n_buses != n:
-            raise DataFormatError(
-                f"model expects {model.config.n_buses} buses, data has {n}")
+        _check_buses(model, series)
         r = model.config.lag_r
 
     i = args.at_instance  # 1-based series coordinate of the forecast target
@@ -248,20 +247,16 @@ def cmd_forecast(args):
         pred = evaluation.persistence_predictions(window[None])[0]
     else:
         pred = forecaster.forecast_next(model, window)
-    lines = ["kind," + ",".join(csv_header(n))]
-    lines.append("forecast," + str(i) + "," + ",".join(repr(float(v)) for v in pred))
+    rows = [("forecast", pred)]
     if i <= len(series):  # the target is in the series: report its error
         truth = series.values[i - 1]
-        ae = np.abs(pred - truth)
-        lines.append("truth," + str(i) + "," + ",".join(repr(float(v)) for v in truth))
-        lines.append("abs_error," + str(i) + "," + ",".join(repr(float(v)) for v in ae))
-    text = "\n".join(lines) + "\n"
+        rows += [("truth", truth), ("abs_error", np.abs(pred - truth))]
+    text = "kind," + ",".join(csv_header(series.n_buses)) + "\n" + "".join(
+        f"{kind},{i}," + ",".join(repr(float(v)) for v in values) + "\n" for kind, values in rows)
     if args.out:
         with atomic_write(args.out) as fh:
             fh.write(text)
-        _write_manifest(args.out, "forecast", args, [], [args.data], [args.out], t0)
-    print(text, end="")
-    return EXIT_OK
+    return text, args.out, [], [args.data], [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +281,19 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write a synthetic state series CSV")
-    g.add_argument("--buses", type=int, default=14)
-    g.add_argument("--length", type=int, default=2000)
-    g.add_argument("--period", type=int, default=96)
-    g.add_argument("--noise", type=float, default=5e-4,
-                   help="magnitude noise std (p.u.)")
-    g.add_argument("--angle-noise", type=float, default=2e-2,
-                   help="angle noise std (degrees)")
-    g.add_argument("--coupling", type=float, default=0.3)
-    g.add_argument("--seed", type=int, default=0)
+    for flag, _, field, help_ in SYNTHETIC_FLAGS:
+        default = getattr(GEN_DATA, field)
+        g.add_argument(flag, type=type(default), default=default, help=help_)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", parents=[_training_parser(Hyperparams())],
                        help="train a forecaster on a dataset CSV")
     t.add_argument("--data", required=True)
-    t.add_argument("--lag", type=int, default=10)
+    t.add_argument("--lag", type=int, default=ModelConfig.lag_r)
     t.add_argument("--model-out", required=True)
     t.add_argument("--report-out", default=None)
-    t.add_argument("--baseline", choices=["hybrid", "rnn-only"], default="hybrid")
+    t.add_argument("--baseline", choices=[HYBRID, RNN_ONLY], default=HYBRID)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", parents=[_training_parser(None)],
@@ -315,7 +304,7 @@ def build_parser():
     e.add_argument("--trace-out", default=None)
     e.add_argument("--runs", type=int, default=1)
     e.add_argument("--compare", default=None,
-                   help="comma list of baselines: persistence,rnn-only")
+                   help=f"comma list of baselines: persistence,{RNN_ONLY}")
     e.set_defaults(func=cmd_eval)
 
     f = sub.add_parser("forecast", help="one-step forecast at a series instance")
@@ -330,10 +319,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        text, primary, seeds, inputs, outputs = args.func(args)
+        if primary:
+            _write_manifest(primary, args, seeds, inputs, outputs, t0)
+        print(text, end="")
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

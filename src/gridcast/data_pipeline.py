@@ -8,9 +8,9 @@ followed by n phase angles (degrees) - a 2n-wide row. The CSV format is:
 
     t,vm_1,...,vm_n,va_1,...,va_n
 
-one row per instance, decimal numbers, no missing or non-finite cells,
-and t increasing by a uniform step. A leading UTF-8 byte-order mark is
-skipped.
+one row per instance, ASCII decimal numbers (no `_` separators), no
+missing or non-finite cells, and t increasing by a uniform step. A
+leading UTF-8 byte-order mark is skipped.
 
 Layouts are explicit: a batch of states is (..., 2n) and a batch of lag
 windows is (..., 2n, r), features along rows and time along the last axis.
@@ -178,6 +178,9 @@ def load_series(path) -> StateSeries:
             raise DataFormatError(
                 f"ragged row: {len(cells)} cells, expected {n_cols}", line=idx)
         try:
+            if "_" in raw or not raw.isascii():  # float() also reads 1_0, ١٢ and １２
+                bad = next(c for c in cells if "_" in c or not c.isascii())
+                raise ValueError(f"not an ASCII decimal number: {bad!r}")
             table[len(line_of_row)] = list(map(float, cells))
         except ValueError as exc:
             raise DataFormatError(f"non-numeric cell: {exc}", line=idx) from None

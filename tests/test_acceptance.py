@@ -4,6 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -292,6 +296,25 @@ def test_criterion_7_cli_determinism(tmp_path):
     assert artifacts[0] == artifacts[1]
     _pass("criterion 7: identical CLI invocations produce byte-identical "
           "dataset, model, train report, metrics report and trace files")
+
+
+def test_criterion_7_large_batch_train_at_one_blas_thread(tmp_path):
+    """At 14 buses and B = 1024 the GEMMs are large enough for OpenBLAS to
+    thread them, and its sums then depend on the thread count; at a fixed
+    count of one thread, two processes still write the same model bytes."""
+    data = tmp_path / "grid.csv"
+    assert cli_main(["gen-data", "--buses", "14", "--length", "2000", "--out", str(data)]) == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(forecaster.__file__).resolve().parents[1]))
+    models = [tmp_path / f"{tag}.gcm" for tag in "ab"]
+    for model in models:
+        run = subprocess.run([sys.executable, "-m", "gridcast.cli", "train", "--data", str(data),
+                              "--model-out", str(model), "--batch", "1024", "--epochs", "1"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+    assert models[0].read_bytes() == models[1].read_bytes()
+    _pass("criterion 7: at OPENBLAS_NUM_THREADS=1, two 14-bus B=1024 trains write "
+          "byte-identical models")
 
 
 # ---------------------------------------------------------------------------

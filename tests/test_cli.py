@@ -140,6 +140,38 @@ def test_train_writes_model_and_report(model_file):
     assert "wall_clock_s" in manifest
 
 
+@pytest.mark.parametrize("argv, inputs, outputs", [
+    (["gen-data", "--buses", "2", "--length", "30", "--out", "{d}/g.csv"], [], ["g.csv"]),
+    (["train", "--data", "{data}", "--model-out", "{d}/m.gcm", "--epochs", "0"],
+     ["{data}"], ["m.gcm", "m.gcm.report.json"]),
+    (["eval", "--model", "{model}", "--data", "{data}", "--report-out", "{d}/r.txt"],
+     ["{model}", "{data}"], ["r.txt"]),
+    (["forecast", "--model", "{model}", "--data", "{data}", "--at-instance", "150",
+      "--out", "{d}/f.csv"], ["{data}"], ["f.csv"]),
+    (["forecast", "--model", "{model}", "--data", "{data}", "--at-instance", "150"], [], []),
+], ids=["gen-data", "train", "eval-report-out", "forecast-out", "forecast-stdout"])
+def test_main_writes_the_run_manifest(tmp_path, dataset, model_file, capsys, argv, inputs,
+                                      outputs):
+    """main writes one manifest beside the command's primary output, the
+    first file it lists, named after the subcommand; forecast without
+    --out writes nothing."""
+    paths = dict(d=tmp_path, data=dataset, model=model_file)
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    written = sorted(p.name for p in tmp_path.iterdir())
+    if not outputs:
+        assert written == [] and stdout.startswith("kind,t,vm_1,")
+        return
+    assert written == sorted(outputs + [outputs[0] + ".manifest.json"])
+    manifest = json.loads((tmp_path / (outputs[0] + ".manifest.json")).read_text())
+    assert manifest["command"] == manifest["flags"]["command"] == argv[0]
+    assert manifest["inputs"] == [a.format(**paths) for a in inputs]
+    assert manifest["outputs"] == [str(tmp_path / name) for name in outputs]
+    if argv[0] in ("eval", "forecast"):  # the text is printed once and written once
+        assert stdout == (tmp_path / outputs[0]).read_text()
+
+
 def test_train_zero_epochs_writes_initialized_model(tmp_path, dataset):
     out = tmp_path / "m.json"
     rc = main(["train", "--data", str(dataset), "--model-out", str(out),

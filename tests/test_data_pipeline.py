@@ -52,6 +52,24 @@ def test_load_non_numeric_cell_names_line(tmp_path):
         load_series(path)
 
 
+@pytest.mark.parametrize("row", ["1,1_0,2.0", "1_0,1.0,2.0", "1,١٢,2.0", "1,１２,2.0"],
+                         ids=["underscore-vm", "underscore-t", "arabic-indic", "fullwidth"])
+def test_load_rejects_cells_that_are_not_ascii_decimals(tmp_path, row):
+    """float() also reads PEP 515 underscores and non-ASCII digits, so a typo
+    such as 1_05 would load as 105. Such a row is an error that names its
+    line, and rows are checked in order, so the bad row after it does not win."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,vm_1,va_1\n0,1.0,2.0\n{row}\n2,oops,2.0\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 3: non-numeric cell"):
+        load_series(path)
+
+
+def test_load_accepts_ascii_whitespace_around_numbers(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("t,vm_1,va_1\n0, 1.0 ,2.0\t\n1,1.5,\t-2.0\n")
+    npt.assert_array_equal(load_series(path).values, [[1.0, 2.0], [1.5, -2.0]])
+
+
 @pytest.mark.parametrize("row", ["1,1.0,nan", "1,inf,2.0", "nan,1.0,2.0"])
 def test_load_non_finite_cell_names_line(tmp_path, row):
     path = tmp_path / "bad.csv"
