@@ -2,18 +2,20 @@
 
 Exit codes (stable contract): 0 success, 1 I/O or data error, 2 usage
 error, 3 numerical divergence. Each `cmd_*` returns its stdout text and
-what it wrote; `main` alone turns that into the run contract: it writes a
-JSON run manifest beside the command's primary output (`forecast` without
-`--out` has none), prints the text and maps errors to exit codes. The
-manifest is the only output carrying wall clock, so repeated runs with
-identical flags produce byte-identical data artifacts on the same numpy
-and BLAS build at the same BLAS thread count.
+seeds; `main` alone prints the text, maps errors to exit codes and writes the
+run manifest from the flags: inputs `--model` (unless `persistence`) and
+`--data`, outputs every `--out` and `--*-out` given, and the manifest beside
+the first output (none if there is none). Only the manifest holds wall clock
+and machine facts, so reruns with identical flags write byte-identical data
+artifacts on the same numpy and BLAS build at the same BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, astuple, replace
@@ -49,18 +51,32 @@ def _checked(flag, value, check):
         raise UsageError(f"{flag} {value}: {exc}") from None
 
 
-def _write_manifest(primary_out, args, seeds, inputs, outputs, t0):
+def _machine():
+    """What byte-identity of the data artifacts depends on (see the module doc)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}, "cpus": cpus,
+            **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
+def _write_manifest(args, seeds, t0):
+    given = vars(args).items()  # in the parser's flag order
+    outputs = [v for k, v in given if (k == "out" or k.endswith("_out")) and v]
+    if not outputs:  # a run that names no output writes no manifest
+        return
     doc = {
         "manifest_version": MANIFEST_VERSION,
         "command": args.command,
-        "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "flags": {k: v for k, v in sorted(given) if k != "func"},
         "seeds": seeds,
-        "inputs": inputs,
+        "inputs": [v for k, v in given if k == "data" or (k == "model" and v != "persistence")],
         "outputs": outputs,
         "format_versions": {"model": MODEL_FORMAT_VERSION},
+        "machine": _machine(),
         "wall_clock_s": time.perf_counter() - t0,
     }
-    with atomic_write(str(primary_out) + ".manifest.json") as fh:
+    with atomic_write(outputs[0] + ".manifest.json") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
@@ -94,7 +110,7 @@ def cmd_gen_data(args):
                          "does not fit in memory: lower either") from None
     save_series(series, args.out)
     text = f"wrote {len(series)} instances x {2 * args.buses} features to {args.out}\n"
-    return text, args.out, [args.seed], [], [args.out]
+    return text, [args.seed]
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +154,12 @@ def cmd_train(args):
     data = _split(series, args.lag, args.train_fraction, "--lag")
     model, report, _ = training.fit_forecaster(data, config, hp)
     save_model(model, args.model_out)
-    report_path = args.report_out or (args.model_out + ".report.json")
-    with atomic_write(report_path) as fh:
+    args.report_out = args.report_out or args.model_out + ".report.json"  # the manifest's flag
+    with atomic_write(args.report_out) as fh:
         fh.write(json.dumps(asdict(report), indent=1) + "\n")
     text = (f"trained {args.baseline} model: final train loss {report.final_train_loss:.6e}, "
             f"test nRMSE {report.test_nrmse:.6e}\n")
-    return text, args.model_out, [args.seed], [args.data], [args.model_out, report_path]
+    return text, [args.seed]
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +228,12 @@ def cmd_eval(args):
             aggregates += f"\naggregate over independent runs{label}:\n"
             aggregates += json.dumps(aggregate, indent=1) + "\n"
     body = evaluation.comparison_table(rows) + aggregates
-    outputs = []
     if args.report_out:
         with atomic_write(args.report_out) as fh:
             fh.write(body)
-        outputs.append(args.report_out)
     if args.trace_out:
         evaluation.export_trace_csv(trace_preds, y_test, args.trace_out)
-        outputs.append(args.trace_out)
-    primary = args.report_out or args.trace_out or (args.model + ".eval")
-    seeds = list(range(hp.seed, hp.seed + args.runs)) if retrains else []
-    return body, primary, seeds, [args.model, args.data], outputs
+    return body, list(range(hp.seed, hp.seed + args.runs)) if retrains else []
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +267,7 @@ def cmd_forecast(args):
     if args.out:
         with atomic_write(args.out) as fh:
             fh.write(text)
-    return text, args.out, [], [args.data], [args.out]
+    return text, []
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +333,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        text, primary, seeds, inputs, outputs = args.func(args)
-        if primary:
-            _write_manifest(primary, args, seeds, inputs, outputs, t0)
+        text, seeds = args.func(args)
+        _write_manifest(args, seeds, t0)
         print(text, end="")
         return EXIT_OK
     except UsageError as exc:

@@ -313,8 +313,11 @@ def test_criterion_7_large_batch_train_at_one_blas_thread(tmp_path):
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
     assert models[0].read_bytes() == models[1].read_bytes()
+    for model in models:  # the manifest states the thread count the bytes depend on
+        manifest = json.loads(Path(f"{model}.manifest.json").read_text())
+        assert manifest["machine"]["OPENBLAS_NUM_THREADS"] == "1"
     _pass("criterion 7: at OPENBLAS_NUM_THREADS=1, two 14-bus B=1024 trains write "
-          "byte-identical models")
+          "byte-identical models, and both manifests record the thread count")
 
 
 # ---------------------------------------------------------------------------

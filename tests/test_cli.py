@@ -1,4 +1,5 @@
 import json
+import platform
 import re
 import warnings
 from dataclasses import fields, replace
@@ -146,15 +147,21 @@ def test_train_writes_model_and_report(model_file):
      ["{data}"], ["m.gcm", "m.gcm.report.json"]),
     (["eval", "--model", "{model}", "--data", "{data}", "--report-out", "{d}/r.txt"],
      ["{model}", "{data}"], ["r.txt"]),
+    (["eval", "--model", "{model}", "--data", "{data}", "--trace-out", "{d}/e.csv",
+      "--report-out", "{d}/r.txt"], ["{model}", "{data}"], ["r.txt", "e.csv"]),
     (["forecast", "--model", "{model}", "--data", "{data}", "--at-instance", "150",
+      "--out", "{d}/f.csv"], ["{model}", "{data}"], ["f.csv"]),
+    (["forecast", "--model", "persistence", "--data", "{data}", "--at-instance", "150",
       "--out", "{d}/f.csv"], ["{data}"], ["f.csv"]),
     (["forecast", "--model", "{model}", "--data", "{data}", "--at-instance", "150"], [], []),
-], ids=["gen-data", "train", "eval-report-out", "forecast-out", "forecast-stdout"])
+], ids=["gen-data", "train", "eval-report-out", "eval-both-out", "forecast-out",
+        "forecast-persistence-out", "forecast-stdout"])
 def test_main_writes_the_run_manifest(tmp_path, dataset, model_file, capsys, argv, inputs,
                                       outputs):
-    """main writes one manifest beside the command's primary output, the
-    first file it lists, named after the subcommand; forecast without
-    --out writes nothing."""
+    """main writes one manifest beside the first output flag given (in the
+    parser's flag order, not the command line's), naming every file the
+    run read (--model unless persistence, then --data) and wrote; forecast
+    without --out writes nothing."""
     paths = dict(d=tmp_path, data=dataset, model=model_file)
     argv = [a.format(**paths) for a in argv]
     assert main(argv) == 0
@@ -170,6 +177,43 @@ def test_main_writes_the_run_manifest(tmp_path, dataset, model_file, capsys, arg
     assert manifest["outputs"] == [str(tmp_path / name) for name in outputs]
     if argv[0] in ("eval", "forecast"):  # the text is printed once and written once
         assert stdout == (tmp_path / outputs[0]).read_text()
+
+
+def test_eval_without_an_output_writes_no_manifest(tmp_path, dataset, model_file, capsys):
+    """An eval that names no output prints its table and writes nothing, so
+    it needs no write access to the model's directory."""
+    before = sorted(model_file.parent.iterdir())
+    assert main(["eval", "--model", str(model_file), "--data", str(dataset),
+                 "--compare", "persistence"]) == 0
+    assert capsys.readouterr().out.startswith("Method")
+    assert sorted(model_file.parent.iterdir()) == before
+
+
+def test_train_manifest_records_the_resolved_report_path(tmp_path, dataset):
+    model = tmp_path / "m.gcm"
+    assert main(["train", "--data", str(dataset), "--model-out", str(model),
+                 "--epochs", "0"]) == 0
+    manifest = json.loads((tmp_path / "m.gcm.manifest.json").read_text())
+    assert manifest["flags"]["report_out"] == str(model) + ".report.json"
+
+
+def test_manifest_records_the_machine_and_data_artifacts_do_not(tmp_path, dataset,
+                                                               monkeypatch):
+    """The manifest states what byte-identity depends on; the data
+    artifacts beside it stay free of it."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    model = tmp_path / "m.gcm"
+    assert main(["train", "--data", str(dataset), "--model-out", str(model),
+                 "--epochs", "0"]) == 0
+    machine = json.loads((tmp_path / "m.gcm.manifest.json").read_text())["machine"]
+    assert machine["python"] == platform.python_version()
+    assert machine["numpy"] == np.__version__
+    assert set(machine["blas"]) == {"name", "version"}
+    assert isinstance(machine["cpus"], int) and machine["cpus"] >= 1
+    assert (machine["OPENBLAS_NUM_THREADS"], machine["OMP_NUM_THREADS"]) == ("3", None)
+    for artifact in (model, tmp_path / "m.gcm.report.json"):
+        assert b"OPENBLAS_NUM_THREADS" not in artifact.read_bytes()
 
 
 def test_train_zero_epochs_writes_initialized_model(tmp_path, dataset):

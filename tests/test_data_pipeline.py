@@ -78,6 +78,20 @@ def test_load_non_finite_cell_names_line(tmp_path, row):
         load_series(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,1.0,2.0\nnan,1.0,2.0\n2,oops,2.0\n", "line 3: non-finite cell"),
+    ("0,1.0,2.0\n1,1.0,2.0\n1,1.0,2.0\n3,oops,2.0\n", "line 4: t must increase"),
+    ("0,1.0,2.0\n1,inf,2.0\n2,1.0\n", "line 3: non-finite cell"),
+], ids=["nan-then-non-numeric", "repeated-t-then-non-numeric", "inf-then-ragged"])
+def test_load_names_the_first_bad_line_across_error_kinds(tmp_path, rows, message):
+    """A ragged or non-numeric line stops the scan, but a non-finite cell or
+    a broken t step on an earlier line is the error reported."""
+    path = tmp_path / "bad.csv"
+    path.write_text("t,vm_1,va_1\n" + rows)
+    with pytest.raises(DataFormatError, match=message):
+        load_series(path)
+
+
 @pytest.mark.parametrize("step", [0.1, 1 / 30])
 def test_load_accepts_decimal_steps_at_epoch_offsets(tmp_path, step):
     path = tmp_path / "grid.csv"
