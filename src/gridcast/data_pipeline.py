@@ -170,6 +170,7 @@ def load_series(path) -> StateSeries:
             f"header does not match t,vm_1..vm_{n},va_1..va_{n}", line=1)
     table = np.empty((len(lines) - 1, n_cols))  # blank lines leave rows unused
     line_of_row = []
+    scan_error = None
     try:  # a bad line stops the scan; a non-finite cell or t step above it still wins
         for idx, raw in enumerate(lines[1:], start=2):
             if not raw.strip():
@@ -186,25 +187,26 @@ def load_series(path) -> StateSeries:
             except ValueError as exc:
                 raise DataFormatError(f"non-numeric cell: {exc}", line=idx) from None
             line_of_row.append(idx)
-    finally:
-        table = table[:len(line_of_row)]
-        finite = np.isfinite(table).all(axis=1)
-        if not finite.all():
-            raise DataFormatError("non-finite cell", line=line_of_row[int(np.argmin(finite))])
-        t = table[:, 0]
-        steps = np.diff(t)
-        # slack for decimal steps such as 0.1, inexact in binary, and for the
-        # rounding of large t such as Unix-epoch seconds
-        slack = 1e-9 * np.abs(steps[:1]) + 4 * np.spacing(np.abs(t[1:]))
-        bad = (steps <= 0) | (np.abs(steps - steps[:1]) > slack)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise DataFormatError(
-                f"t must increase by a uniform step: t={float(t[k + 1])!r} follows "
-                f"t={float(t[k])!r}",
-                line=line_of_row[k + 1])
-    if not line_of_row:
-        raise DataFormatError("no data rows", line=2)
+    except DataFormatError as exc:  # only a data error; any other exception passes
+        scan_error = exc
+    table = table[:len(line_of_row)]
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("non-finite cell", line=line_of_row[int(np.argmin(finite))])
+    t = table[:, 0]
+    steps = np.diff(t)
+    # slack for decimal steps such as 0.1, inexact in binary, and for the
+    # rounding of large t such as Unix-epoch seconds
+    slack = 1e-9 * np.abs(steps[:1]) + 4 * np.spacing(np.abs(t[1:]))
+    bad = (steps <= 0) | (np.abs(steps - steps[:1]) > slack)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataFormatError(
+            f"t must increase by a uniform step: t={float(t[k + 1])!r} follows "
+            f"t={float(t[k])!r}",
+            line=line_of_row[k + 1])
+    if scan_error or not line_of_row:
+        raise scan_error or DataFormatError("no data rows", line=2)
     return StateSeries(n, np.ascontiguousarray(table[:, 1:]))
 
 

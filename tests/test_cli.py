@@ -179,14 +179,20 @@ def test_main_writes_the_run_manifest(tmp_path, dataset, model_file, capsys, arg
         assert stdout == (tmp_path / outputs[0]).read_text()
 
 
-def test_eval_without_an_output_writes_no_manifest(tmp_path, dataset, model_file, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--compare", "persistence"],
+    ["--runs", "2", "--epochs", "1", "--compare", "persistence,rnn-only"],
+], ids=["no-retrain", "retrain"])
+def test_eval_without_an_output_writes_no_manifest(tmp_path, dataset, model_file, capsys,
+                                                   flags):
     """An eval that names no output prints its table and writes nothing, so
-    it needs no write access to the model's directory."""
-    before = sorted(model_file.parent.iterdir())
-    assert main(["eval", "--model", str(model_file), "--data", str(dataset),
-                 "--compare", "persistence"]) == 0
+    it needs no write access to the model's directory; retraining does not
+    change that."""
+    model = tmp_path / "model.gcm"  # a fresh directory per case: model_file's is shared
+    model.write_bytes(model_file.read_bytes())
+    assert main(["eval", "--model", str(model), "--data", str(dataset)] + flags) == 0
     assert capsys.readouterr().out.startswith("Method")
-    assert sorted(model_file.parent.iterdir()) == before
+    assert list(tmp_path.iterdir()) == [model]
 
 
 def test_train_manifest_records_the_resolved_report_path(tmp_path, dataset):

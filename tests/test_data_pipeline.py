@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcast import data_pipeline
 from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MAGNITUDE,
                                     MAGNITUDE_AMPLITUDE, DataFormatError, Normalizer,
                                     StateSeries, SyntheticConfig, atomic_write,
@@ -90,6 +93,24 @@ def test_load_names_the_first_bad_line_across_error_kinds(tmp_path, rows, messag
     path.write_text("t,vm_1,va_1\n" + rows)
     with pytest.raises(DataFormatError, match=message):
         load_series(path)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+def test_load_lets_an_exception_that_is_not_a_data_error_pass(tmp_path, error):
+    """Only a data error gives way to an earlier bad line: a Ctrl-C or a
+    MemoryError while line 4 is parsed is not turned into line 3's
+    non-finite cell (exit 1)."""
+    path = tmp_path / "bad.csv"
+    path.write_text("t,vm_1,va_1\n0,1.0,2.0\n1,nan,2.0\n2,1.0,2.0\n")
+
+    def interrupted_float(cell):
+        if cell == "2":  # line 4's t
+            raise error
+        return float(cell)
+
+    with mock.patch.object(data_pipeline, "float", interrupted_float, create=True):
+        with pytest.raises(error):
+            load_series(path)
 
 
 @pytest.mark.parametrize("step", [0.1, 1 / 30])

@@ -1,8 +1,10 @@
-"""The suite's own pytest configuration (pyproject.toml)."""
+"""pyproject.toml: the suite's own pytest configuration and the console script."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -34,3 +36,12 @@ def test_failing_property_fails_only_itself(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_console_script_is_the_cli_main():
+    """The `gridcast` command that an install puts on PATH calls
+    `gridcast.cli.main`, the function every CLI test runs."""
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    with PYPROJECT.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"gridcast": "gridcast.cli:main"}
