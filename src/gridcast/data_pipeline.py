@@ -9,8 +9,10 @@ followed by n phase angles (degrees) - a 2n-wide row. The CSV format is:
     t,vm_1,...,vm_n,va_1,...,va_n
 
 one row per instance, ASCII decimal numbers (no `_` separators), no
-missing or non-finite cells, and t increasing by a uniform step. A
-leading UTF-8 byte-order mark is skipped.
+missing or non-finite cells, and t increasing by a uniform step (a step
+that overflows float64 is not uniform). The first bad line is reported,
+a non-finite cell before its own step. A leading UTF-8 byte-order mark
+is skipped.
 
 Layouts are explicit: a batch of states is (..., 2n) and a batch of lag
 windows is (..., 2n, r), features along rows and time along the last axis.
@@ -170,43 +172,40 @@ def load_series(path) -> StateSeries:
             f"header does not match t,vm_1..vm_{n},va_1..va_{n}", line=1)
     table = np.empty((len(lines) - 1, n_cols))  # blank lines leave rows unused
     line_of_row = []
-    scan_error = None
-    try:  # a bad line stops the scan; a non-finite cell or t step above it still wins
-        for idx, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            cells = raw.split(",")
-            if len(cells) != n_cols:
-                raise DataFormatError(
-                    f"ragged row: {len(cells)} cells, expected {n_cols}", line=idx)
-            try:
-                if "_" in raw or not raw.isascii():  # float() also reads 1_0, ١٢ and １２
-                    bad = next(c for c in cells if "_" in c or not c.isascii())
-                    raise ValueError(f"not an ASCII decimal number: {bad!r}")
-                table[len(line_of_row)] = list(map(float, cells))
-            except ValueError as exc:
-                raise DataFormatError(f"non-numeric cell: {exc}", line=idx) from None
-            line_of_row.append(idx)
-    except DataFormatError as exc:  # only a data error; any other exception passes
-        scan_error = exc
+    error = None  # a ragged or non-numeric line stops the scan
+    for idx, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != n_cols:
+            error = DataFormatError(f"ragged row: {len(cells)} cells, expected {n_cols}", line=idx)
+            break
+        try:
+            if "_" in raw or not raw.isascii():  # float() also reads 1_0, ١٢ and １２
+                cell = next(c for c in cells if "_" in c or not c.isascii())
+                raise ValueError(f"not an ASCII decimal number: {cell!r}")
+            table[len(line_of_row)] = list(map(float, cells))
+        except ValueError as exc:
+            error = DataFormatError(f"non-numeric cell: {exc}", line=idx)
+            break
+        line_of_row.append(idx)
+    # one mask of bad rows; its first wins over the line that stopped the scan
     table = table[:len(line_of_row)]
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        raise DataFormatError("non-finite cell", line=line_of_row[int(np.argmin(finite))])
-    t = table[:, 0]
-    steps = np.diff(t)
-    # slack for decimal steps such as 0.1, inexact in binary, and for the
-    # rounding of large t such as Unix-epoch seconds
-    slack = 1e-9 * np.abs(steps[:1]) + 4 * np.spacing(np.abs(t[1:]))
-    bad = (steps <= 0) | (np.abs(steps - steps[:1]) > slack)
+    t, finite = table[:, 0], np.isfinite(table).all(axis=1)
+    bad = ~finite
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is NaN or inf
+        steps = np.diff(t)
+        # slack for decimal steps such as 0.1, inexact in binary, and for the
+        # rounding of large t such as Unix-epoch seconds; a NaN fails the <=
+        slack = 1e-9 * np.abs(steps[:1]) + 4 * np.spacing(np.abs(t[1:]))
+        bad[1:] |= ~((steps > 0) & (np.abs(steps - steps[:1]) <= slack))
     if bad.any():
         k = int(np.argmax(bad))
-        raise DataFormatError(
-            f"t must increase by a uniform step: t={float(t[k + 1])!r} follows "
-            f"t={float(t[k])!r}",
-            line=line_of_row[k + 1])
-    if scan_error or not line_of_row:
-        raise scan_error or DataFormatError("no data rows", line=2)
+        raise DataFormatError("non-finite cell" if not finite[k] else
+                              f"t must increase by a uniform step: t={float(t[k])!r} follows "
+                              f"t={float(t[k - 1])!r}", line=line_of_row[k])
+    if error or not line_of_row:
+        raise error or DataFormatError("no data rows", line=2)
     return StateSeries(n, np.ascontiguousarray(table[:, 1:]))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,38 @@ def oracle_build_windows(series, r):
     and a copy of the targets values[r:]. Returns (X, Y)."""
     v = series.values
     return np.stack([v[i:i + r].T for i in range(len(v) - r)]), v[r:].copy()
+
+
+def first_bad_line(rows, n_cols):
+    """Reference for load_series' first-bad-line rule: walk the data rows
+    (the CSV lines after the header, line 2 on) in order and return (line,
+    kind) for the first ragged, non-numeric or non-finite line, or the first
+    whose t step is not positive or not within slack of the first step; a
+    CSV with no data row gives (2, "no data rows"), a good one None."""
+    first_step, prev_t = None, None
+    for line, raw in enumerate(rows, start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != n_cols:
+            return line, "ragged row"
+        if any("_" in c or not c.isascii() for c in cells):
+            return line, "non-numeric cell"
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            return line, "non-numeric cell"
+        if not all(map(math.isfinite, values)):
+            return line, "non-finite cell"
+        t = values[0]
+        if prev_t is not None:
+            step = t - prev_t  # a Python float overflows to inf, no error
+            first_step = step if first_step is None else first_step
+            slack = 1e-9 * abs(first_step) + 4 * math.ulp(abs(t))
+            if not (step > 0 and abs(step - first_step) <= slack):
+                return line, "t must increase by a uniform step"
+        prev_t = t
+    return None if prev_t is not None else (2, "no data rows")
 
 
 def _conv_windows(x, kernel):

@@ -15,7 +15,7 @@ from gridcast.data_pipeline import (ANGLE_AMPLITUDE, ANGLE_OFFSET_SCALE, BASE_MA
 
 from gridcast.forecaster import ModelConfig, forecast_batch, init_model
 
-from conftest import identity_normalizer, oracle_build_windows
+from conftest import first_bad_line, identity_normalizer, oracle_build_windows
 
 # numpy's floating-point errors as exceptions; underflow into a subnormal is no error
 NO_FP_WARNINGS = dict(over="raise", divide="raise", invalid="raise", under="ignore")
@@ -85,19 +85,56 @@ def test_load_non_finite_cell_names_line(tmp_path, row):
     ("0,1.0,2.0\nnan,1.0,2.0\n2,oops,2.0\n", "line 3: non-finite cell"),
     ("0,1.0,2.0\n1,1.0,2.0\n1,1.0,2.0\n3,oops,2.0\n", "line 4: t must increase"),
     ("0,1.0,2.0\n1,inf,2.0\n2,1.0\n", "line 3: non-finite cell"),
-], ids=["nan-then-non-numeric", "repeated-t-then-non-numeric", "inf-then-ragged"])
+    ("0,1.0,2.0\n1,1.0,2.0\n5,1.0,2.0\n6,1.0,2.0\n7,nan,2.0\n", "line 4: t must increase"),
+    ("0,1.0,2.0\n1,1.0,2.0\n5,1.0,2.0\ninf,1.0,2.0\n", "line 4: t must increase"),
+    ("\n0,1.0,2.0\n\n1,1.0,2.0\n\n3,1.0,2.0\n4,inf,2.0\n", "line 7: t must increase"),
+    ("0,1.0,2.0\n1,1.0,2.0\n1,nan,2.0\n", "line 4: non-finite cell"),
+], ids=["nan-then-non-numeric", "repeated-t-then-non-numeric", "inf-then-ragged",
+        "step-then-non-finite", "step-then-inf-t", "blank-lines-then-step-then-inf",
+        "repeated-t-with-nan-on-its-line"])
 def test_load_names_the_first_bad_line_across_error_kinds(tmp_path, rows, message):
     """A ragged or non-numeric line stops the scan, but a non-finite cell or
-    a broken t step on an earlier line is the error reported."""
+    a broken t step on an earlier line is the error reported, whichever of
+    the two comes first; on one line a non-finite cell wins over its step."""
     path = tmp_path / "bad.csv"
     path.write_text("t,vm_1,va_1\n" + rows)
     with pytest.raises(DataFormatError, match=message):
         load_series(path)
 
 
+# one CSV line of each kind for a t,vm_1,va_1 file; {t} is the next uniform t
+CSV_LINES = {
+    "ok": "{t},1.0,2.0", "blank": "", "ragged": "{t},1.0", "oops": "{t},oops,2.0",
+    "separator": "{t},1_0,2.0", "nan-cell": "{t},nan,2.0", "-inf-cell": "{t},1.0,-inf",
+    "inf-t": "inf,1.0,2.0", "repeat": "{prev},1.0,2.0", "jump": "{jump},1.0,2.0",
+    "huge-t": "1.7e308,1.0,2.0", "-huge-t": "-1.7e308,1.0,2.0",
+}
+
+
+@given(st.lists(st.sampled_from(sorted(CSV_LINES)), min_size=1, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_load_names_the_oracles_first_bad_line(tmp_path_factory, kinds):
+    """load_series returns the table when the line-by-line oracle finds no
+    bad line, and otherwise names the oracle's line and kind; no line of
+    any kind, an overflowing t step included, prints a warning."""
+    rows, t = [], 0
+    for kind in kinds:
+        rows.append(CSV_LINES[kind].format(t=t, prev=t - 1, jump=t + 5))
+        t += kind != "blank"
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_text("t,vm_1,va_1\n" + "\n".join(rows) + "\n")
+    expected = first_bad_line(rows, n_cols=3)
+    if expected is None:
+        values = [[float(c) for c in row.split(",")[1:]] for row in rows if row]
+        assert load_series(path).values.tolist() == values
+    else:
+        with pytest.raises(DataFormatError, match="^line {}: {}".format(*expected)):
+            load_series(path)
+
+
 @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
 def test_load_lets_an_exception_that_is_not_a_data_error_pass(tmp_path, error):
-    """Only a data error gives way to an earlier bad line: a Ctrl-C or a
+    """The scan catches nothing but a cell's ValueError: a Ctrl-C or a
     MemoryError while line 4 is parsed is not turned into line 3's
     non-finite cell (exit 1)."""
     path = tmp_path / "bad.csv"

@@ -1,4 +1,4 @@
-"""The CLI round trip on edited CSVs: each row edits the states that
+"""The CLI round trip on edited CSVs: each row edits the CSV that
 `gen-data --buses 3 --length 200` writes, runs its commands through
 `cli.main` and checks each one's exit code and stderr. Under pyproject's
 `filterwarnings = ["error"]` a numpy warning fails the row, so one case runs
@@ -22,6 +22,8 @@ EDITS = {
     "pv": lambda nr, cells: cells[:1] + ["1.06"] + cells[2:],  # a PV bus's |V| set-point
     "subnormal": lambda nr, cells: cells[:1] + ["1e-310" if nr % 2 else "0.0"] + cells[2:],
     "separator": lambda nr, cells: cells[:1] + ["1_0"] + cells[2:] if nr == 5 else cells,
+    # t = 0, 1e308, -1e308 on lines 2-4: the second step overflows float64
+    "t-overflow": lambda nr, cells: [{3: "1e308", 4: "-1e308"}.get(nr, cells[0])] + cells[1:],
 }
 
 TRAIN = "train --data {csv} --model-out {d}/m.gcm --epochs 1"
@@ -53,7 +55,9 @@ def argv(command, csv, d):
     ("pv", [TRAIN, FORECAST], 0, ""),
     ("subnormal", [TRAIN, FORECAST], 0, ""),
     ("separator", [TRAIN], 1, "line 5: non-numeric cell"),  # float() reads 1_0 as 10
-], ids=["train-on-1e308-cells", "pv-set-point", "subnormal-peak", "digit-separator"])
+    ("t-overflow", [TRAIN], 1, "line 4: t must increase by a uniform step"),
+], ids=["train-on-1e308-cells", "pv-set-point", "subnormal-peak", "digit-separator",
+        "t-step-overflows"])
 def test_roundtrip(tmp_path, grid, capsys, edit, commands, rc, err):
     """Each command exits `rc`, and its stderr holds `err` and no warning."""
     csv = edited(grid, edit, tmp_path / "edited.csv")

@@ -45,3 +45,12 @@ def test_console_script_is_the_cli_main():
     with PYPROJECT.open("rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"gridcast": "gridcast.cli:main"}
+
+
+def test_numpy_bound_covers_show_config_dicts():
+    """The run manifest's machine block calls `np.show_config(mode="dicts")`,
+    which numpy added in 1.26, so the install requires at least that."""
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    with PYPROJECT.open("rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert dependencies == ["numpy>=1.26"]
