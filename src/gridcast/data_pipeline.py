@@ -195,9 +195,9 @@ def load_series(path) -> StateSeries:
     bad = ~finite
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is NaN or inf
         steps = np.diff(t)
-        # slack for decimal steps such as 0.1, inexact in binary, and for the
-        # rounding of large t such as Unix-epoch seconds; a NaN fails the <=
-        slack = 1e-9 * np.abs(steps[:1]) + 4 * np.spacing(np.abs(t[1:]))
+        # slack for decimal steps such as 0.1, inexact in binary, and for the rounding of large
+        # t such as epoch seconds, its ulp capped at math.ulp's finite 2**971; NaN fails the <=
+        slack = 1e-9 * np.abs(steps[:1]) + 4 * np.minimum(np.spacing(np.abs(t[1:])), 2.0 ** 971)
         bad[1:] |= ~((steps > 0) & (np.abs(steps - steps[:1]) <= slack))
     if bad.any():
         k = int(np.argmax(bad))

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,30 @@ def branch_param_names(cfg, branch):
     branch; an RNN-only model has no "cnn" parameters."""
     prefixes = {"cnn": ("conv_", "dense1_", "dense2_"), "rnn": ("rnn", "dense3_")}[branch]
     return [n for n in param_layout(cfg) if n.startswith(prefixes)]
+
+
+def traced_heap_mib(fn, probes=()):
+    """Run fn() under tracemalloc, with each (module, name) in probes wrapped
+    to note the traced heap at its entry. Returns (the heap peak, the entries
+    in call order as (name, heap) pairs), heaps in MiB."""
+    entries = []
+
+    def probe(name, func):
+        def entry(*args, **kwargs):
+            entries.append((name, tracemalloc.get_traced_memory()[0] / 2 ** 20))
+            return func(*args, **kwargs)
+        return entry
+
+    with contextlib.ExitStack() as stack:
+        for module, name in probes:
+            wrapped = probe(name, getattr(module, name))
+            stack.enter_context(mock.patch.object(module, name, wrapped))
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20, entries
+        finally:
+            tracemalloc.stop()
 
 
 def batch_loss_and_grads(model, x, y):

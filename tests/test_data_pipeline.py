@@ -108,6 +108,7 @@ CSV_LINES = {
     "separator": "{t},1_0,2.0", "nan-cell": "{t},nan,2.0", "-inf-cell": "{t},1.0,-inf",
     "inf-t": "inf,1.0,2.0", "repeat": "{prev},1.0,2.0", "jump": "{jump},1.0,2.0",
     "huge-t": "1.7e308,1.0,2.0", "-huge-t": "-1.7e308,1.0,2.0",
+    "max-t": "1.7976931348623157e308,1.0,2.0",
 }
 
 
@@ -159,8 +160,12 @@ def test_load_accepts_decimal_steps_at_epoch_offsets(tmp_path, step):
 
 
 @pytest.mark.parametrize("ts, line", [("0,0,5", 3), ("0,1,3", 4), ("2,1,0", 3),
-                                      ("1.7e9,1700000000.1,1700000000.3", 4)])
+                                      ("1.7e9,1700000000.1,1700000000.3", 4),
+                                      ("0,1,1.7976931348623157e308", 4)])
 def test_load_rejects_irregular_time_column(tmp_path, ts, line):
+    """The last case steps to the largest float64, where np.spacing is inf:
+    the t slack's ulp stays finite there, and no warning is printed (the
+    suite turns warnings into errors)."""
     path = tmp_path / "bad.csv"
     rows = "".join(f"{t},1.0,2.0\n" for t in ts.split(","))
     path.write_text("t,vm_1,va_1\n" + rows)

@@ -1,5 +1,4 @@
 import copy
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +18,7 @@ from gridcast.training import (EPSILON, AdamState, DivergenceError, Hyperparams,
 
 from conftest import (batch_loss_and_grads, branch_param_names, central_diff, identity_normalizer,
                       oracle_adam_step, oracle_joint_loss_and_grad, oracle_train, param_count,
-                      rel_err)
+                      rel_err, traced_heap_mib)
 
 TINY = dict(n_buses=2, lag_r=3, conv_filters=2, rnn_hidden=4)
 TINY_NORM = identity_normalizer(2 * TINY["n_buses"])
@@ -284,9 +283,13 @@ def test_divergence_detection():
     hp = Hyperparams(epochs=2, learning_rate=1e3)
     x, y = tiny_data()
     y = y * 1e200  # squared error overflows to inf on the first batch
-    with pytest.raises(DivergenceError) as exc:
-        train(model, (x, y), hp)
-    assert exc.value.epoch == 0
+    with mock.patch.object(forecaster, "model_backward", wraps=forecaster.model_backward) as bwd, \
+            mock.patch.object(training, "adam_step", wraps=adam_step) as step:
+        with pytest.raises(DivergenceError) as exc:
+            train(model, (x, y), hp)
+    assert (exc.value.epoch, exc.value.batch) == (0, 0)
+    # the non-finite batch is neither back-propagated nor stepped on
+    assert bwd.call_count == step.call_count == 0
 
 
 def test_branch_gradient_isolation(rng):
@@ -350,12 +353,8 @@ def _fit_heap_peak_mib(length):
     default-split windows of a `length`-instance series made beforehand."""
     series = generate_synthetic_series(SyntheticConfig(n_buses=14, length=length, seed=0))
     data = split_windows(series, 10, 0.8)
-    tracemalloc.start()
-    try:
-        fit_forecaster(data, ModelConfig(n_buses=14, lag_r=10), Hyperparams(epochs=1, seed=0))
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
+    return traced_heap_mib(lambda: fit_forecaster(data, ModelConfig(n_buses=14, lag_r=10),
+                                                  Hyperparams(epochs=1, seed=0)))[0]
 
 
 def test_fit_heap_does_not_grow_with_the_series():
@@ -366,6 +365,27 @@ def test_fit_heap_does_not_grow_with_the_series():
     peak = _fit_heap_peak_mib(2000)
     assert peak < 8
     assert _fit_heap_peak_mib(4000) - peak < 2
+
+
+def test_fit_frees_each_buffer_before_the_next_forward():
+    """Each buffer of a fit lives only while the work that reads it runs.
+    With 118 buses, 118 training windows and one epoch, the P parameters
+    dominate the heap. A training forward starts beside theta, g, the Adam
+    moments m and v and the caller's initial model (5 P), but no earlier
+    batch's caches or gradients; the final-loss forward starts beside theta
+    and the initial model (2 P), with g and the moments freed."""
+    cfg = ModelConfig(n_buses=118, lag_r=10)
+    series = generate_synthetic_series(SyntheticConfig(n_buses=118, length=160, seed=0))
+    data = split_windows(series, cfg.lag_r, 0.8)
+    _, entries = traced_heap_mib(
+        lambda: fit_forecaster(data, cfg, Hyperparams(epochs=1, seed=0)),
+        [(forecaster, "model_forward"), (forecaster, "predict")])
+    p_mib = param_count(cfg) * 8 / 2 ** 20
+    final = [name for name, _ in entries].index("predict")  # train's final-loss forward
+    descent = [heap / p_mib for _, heap in entries[:final]]
+    assert len(descent) == 4  # ceil(118 / 32) batches
+    assert max(descent) <= 6
+    assert entries[final][1] / p_mib <= 3
 
 
 # ---------------------------------------------------------------------------
