@@ -5,9 +5,10 @@ error, 3 numerical divergence. Each `cmd_*` returns its stdout text and
 seeds; `main` alone prints the text, maps errors to exit codes and writes the
 run manifest from the flags: inputs `--model` (unless `persistence`) and
 `--data`, outputs every `--out` and `--*-out` given, and the manifest beside
-the first output (none if there is none). Only the manifest holds wall clock
-and machine facts, so reruns with identical flags write byte-identical data
-artifacts on the same numpy and BLAS build at the same BLAS thread count.
+the first output (none if there is none); two of those flags naming one file
+are a usage error, found before the command runs. Only the manifest holds
+wall clock and machine facts, so reruns with identical flags write the same
+data artifact bytes on the same numpy, BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -205,13 +206,20 @@ def cmd_eval(args):
     data = _split(series, model.config.lag_r, args.train_fraction, "the model's lag")
     x_test, y_test = data[1]
 
-    rows, aggregates = {}, ""
+    seeds, rows, aggregates = range(hp.seed, hp.seed + args.runs), {}, ""
     for method in [kind] + compare:
         if method == "persistence":
             runs = [evaluation.persistence_predictions(x_test)]
         elif args.runs > 1 or method != kind:
-            runs, n_diverged = training.multi_run(
-                data, replace(model.config, kind=method), hp, args.runs)
+            runs = []
+            for seed in seeds:
+                try:
+                    runs.append(training.fit_forecaster(
+                        data, replace(model.config, kind=method), replace(hp, seed=seed))[2])
+                except DivergenceError as exc:
+                    diverged = exc
+            if not runs:  # every seed diverged: exit 3 with the last seed's error
+                raise diverged
         else:
             runs = [forecaster.forecast_batch(model, x_test)]
         if method == kind:
@@ -221,7 +229,7 @@ def cmd_eval(args):
         if args.runs > 1 and method != "persistence":
             scores = [rep.nrmse for rep in reports]
             aggregate = {"n_runs": args.runs, "n_completed": len(scores),
-                         "n_diverged": n_diverged, "base_seed": hp.seed,
+                         "n_diverged": args.runs - len(scores), "base_seed": hp.seed,
                          "nrmse_mean": float(np.mean(scores)), "nrmse_std": float(np.std(scores)),
                          "nrmse_min": float(np.min(scores)), "nrmse_max": float(np.max(scores))}
             label = "" if method == kind else f" ({method})"
@@ -233,7 +241,7 @@ def cmd_eval(args):
             fh.write(body)
     if args.trace_out:
         evaluation.export_trace_csv(trace_preds, y_test, args.trace_out)
-    return body, list(range(hp.seed, hp.seed + args.runs)) if retrains else []
+    return body, list(seeds) if retrains else []
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +341,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        paths = [os.path.realpath(v) for k, v in vars(args).items() if v and (k in ("data", "out")
+                 or k.endswith("_out") or (k == "model" and v != "persistence"))]
+        if len(set(paths)) < len(paths):  # a run never writes over a file it reads or writes
+            raise UsageError(f"two file flags name {max(paths, key=paths.count)}")
         text, seeds = args.func(args)
         _write_manifest(args, seeds, t0)
         print(text, end="")

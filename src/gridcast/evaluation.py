@@ -79,7 +79,10 @@ def export_trace_csv(preds, truths, path):
     """CSV `instance,bus,ae_vm,ae_va` of |preds - truths| for (T, 2n)
     predictions and truths, magnitudes first; 1-based indices, row-major
     by instance."""
-    ae = np.abs(np.asarray(preds, dtype=float) - np.asarray(truths, dtype=float))
+    preds, truths = np.asarray(preds, dtype=float), np.asarray(truths, dtype=float)
+    if preds.ndim != 2 or preds.shape != truths.shape or preds.shape[1] % 2:
+        raise ValueError(f"bad shapes {preds.shape} vs {truths.shape}: need equal (T, 2n)")
+    ae = np.abs(preds - truths)
     n = ae.shape[1] // 2
     with atomic_write(path) as fh:
         fh.write("instance,bus,ae_vm,ae_va\n")

@@ -1,6 +1,6 @@
-"""Training: joint MSE loss over both heads, Adam, the minibatch loop, the
-fit on one `data_pipeline.split_windows` split, and the independent-runs
-protocol, which returns each seed's test predictions for callers to score.
+"""Training: joint MSE loss over both heads, Adam, the minibatch loop, and
+the fit on one `data_pipeline.split_windows` split, which returns its test
+predictions for callers to score (`cli.cmd_eval` fits once per seed).
 
 `train` takes physical-unit windows, as `build_windows` returns them;
 `forecaster.model_forward` z-scores them, and `train` its targets. The
@@ -23,7 +23,7 @@ windows peaks at 27.7 MiB of heap in descent and 23.4 MiB in that forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -195,20 +195,3 @@ def fit_forecaster(data, config: ModelConfig, hp: Hyperparams):
     report.test_nrmse = evaluation.normalized_rmse(preds, y_test)
     return model, report, preds
 
-
-def multi_run(data, config: ModelConfig, hp: Hyperparams, n_runs):
-    """`fit_forecaster` on one split from seeds seed..seed+n_runs-1. Returns
-    (test predictions of each completed run in seed order, n_diverged); when
-    every run diverges, the last DivergenceError is raised."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    runs, n_diverged = [], 0
-    for i in range(n_runs):
-        try:
-            runs.append(fit_forecaster(data, config, replace(hp, seed=hp.seed + i))[2])
-        except DivergenceError as exc:
-            n_diverged += 1
-            last_divergence = exc
-    if not runs:
-        raise last_divergence
-    return runs, n_diverged

@@ -1,6 +1,8 @@
 import json
+import os
 import platform
 import re
+import shutil
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -14,7 +16,7 @@ from gridcast.evaluation import (comparison_table, evaluate_predictions, export_
                                  persistence_predictions)
 from gridcast import training
 from gridcast.forecaster import RNN_ONLY, forecast_batch, load_model
-from gridcast.training import DivergenceError, Hyperparams, multi_run
+from gridcast.training import DivergenceError, Hyperparams, fit_forecaster
 
 
 @pytest.fixture(scope="module")
@@ -339,8 +341,7 @@ def test_eval_multi_run_trace_is_the_first_run(tmp_path, dataset, model_file):
                  "--runs", "2", "--epochs", "1", "--trace-out", str(trace)]) == 0
     config = load_model(model_file).config
     data = split_windows(load_series(dataset), config.lag_r, 0.8)
-    export_trace_csv(multi_run(data, config, Hyperparams(epochs=1), 2)[0][0], data[1][1],
-                     expected)
+    export_trace_csv(fit_forecaster(data, config, Hyperparams(epochs=1))[2], data[1][1], expected)
     assert trace.read_bytes() == expected.read_bytes()
 
 
@@ -357,6 +358,58 @@ def test_eval_deterministic_report_bytes(tmp_path, dataset, model_file):
             assert rc == 0
             outputs.append((report.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1], flags
+
+
+def _aggregate(text, label=""):
+    """The JSON block of the aggregate over independent runs of the model's
+    kind (label "") or of a compared method (label " (rnn-only)")."""
+    block = text.split(f"aggregate over independent runs{label}:\n")[1]
+    return json.JSONDecoder().raw_decode(block)[0]
+
+
+def _seed_scores(dataset, model_file, seeds, epochs):
+    """The test nRMSE of the fit of the model's config at each seed."""
+    config = load_model(model_file).config
+    data = split_windows(load_series(dataset), config.lag_r, 0.8)
+    fits = (fit_forecaster(data, config, Hyperparams(epochs=epochs, seed=s)) for s in seeds)
+    return [evaluate_predictions(preds, data[1][1], 3).nrmse for _, _, preds in fits]
+
+
+def test_eval_runs_fit_consecutive_distinct_seeds(tmp_path, dataset, model_file):
+    """--runs 3 --seed 1 fits seeds 1, 2 and 3: the aggregate's min, mean
+    and max are those of the three fits, which all differ, and the manifest
+    lists those seeds."""
+    report = tmp_path / "r.txt"
+    assert main(["eval", "--model", str(model_file), "--data", str(dataset), "--report-out",
+                 str(report), "--runs", "3", "--seed", "1", "--epochs", "2"]) == 0
+    agg = _aggregate(report.read_text())
+    scores = _seed_scores(dataset, model_file, (1, 2, 3), 2)
+    assert len(set(scores)) == 3
+    assert (agg["nrmse_min"], agg["nrmse_mean"], agg["nrmse_max"]) == (
+        min(scores), float(np.mean(scores)), max(scores))
+    assert json.loads((tmp_path / "r.txt.manifest.json").read_text())["seeds"] == [1, 2, 3]
+
+
+def test_eval_skips_and_counts_a_diverged_seed(tmp_path, dataset, model_file, capsys):
+    """A seed whose fit diverges is left out of the aggregate and counted in
+    n_diverged; when no seed completes, its error exits 3."""
+    def diverge_at_seed_3(data, config, hp):
+        if hp.seed == 3:
+            raise DivergenceError(0, 0, float("nan"))
+        return fit_forecaster(data, config, hp)
+
+    report = tmp_path / "r.txt"
+    with mock.patch.object(training, "fit_forecaster", diverge_at_seed_3):
+        assert main(["eval", "--model", str(model_file), "--data", str(dataset), "--report-out",
+                     str(report), "--runs", "3", "--seed", "2", "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_file), "--data", str(dataset),
+                     "--seed", "3", "--epochs", "1", "--compare", "rnn-only"]) == 3
+    assert capsys.readouterr().err == \
+        "error: training diverged: non-finite loss nan at epoch 0, batch 0\n"
+    agg = _aggregate(report.read_text())
+    assert (agg["n_runs"], agg["n_completed"], agg["n_diverged"]) == (3, 2, 1)
+    assert agg["nrmse_mean"] == float(np.mean(_seed_scores(dataset, model_file, (2, 4), 1)))
 
 
 def test_eval_multi_run_aggregate(tmp_path, dataset, model_file):
@@ -527,9 +580,9 @@ def test_eval_retrained_rows_are_means_over_the_same_seeds(tmp_path, dataset, mo
     hp = Hyperparams(epochs=1, seed=4)
 
     def mean_row(cfg):
-        preds, n_diverged = multi_run(data, cfg, hp, 2)
-        runs = [evaluate_predictions(p, y_test, 3) for p in preds]
-        assert n_diverged == 0 and len(runs) == 2 and runs[0].nrmse != runs[1].nrmse
+        runs = [evaluate_predictions(fit_forecaster(data, cfg, replace(hp, seed=seed))[2],
+                                     y_test, 3) for seed in (4, 5)]
+        assert runs[0].nrmse != runs[1].nrmse
         return replace(runs[0], **{f.name: float(np.mean([getattr(m, f.name) for m in runs]))
                                    for f in fields(runs[0])})
 
@@ -572,8 +625,7 @@ def test_eval_divergence_in_one_method_counts_only_there(tmp_path, dataset, mode
                      "--compare", "rnn-only"]) == 0
     text = report.read_text()
     for label, completed, diverged in (("", 2, 1), (" (rnn-only)", 3, 0)):
-        block = text.split(f"aggregate over independent runs{label}:\n")[1]
-        agg = json.JSONDecoder().raw_decode(block)[0]
+        agg = _aggregate(text, label)
         assert (agg["n_runs"], agg["n_completed"], agg["n_diverged"]) == (3, completed, diverged)
     assert json.loads((tmp_path / "r.txt.manifest.json").read_text())["seeds"] == [0, 1, 2]
 
@@ -589,8 +641,7 @@ def test_run_benchmark_prints_every_method_row(tmp_path, capsys):
     for method in ("hybrid", "rnn-only", "persistence"):
         assert re.search(rf"^{method} +\d", out, re.M), method
     for label in ("", " (rnn-only)"):
-        block = out.split(f"aggregate over independent runs{label}:\n")[1]
-        agg = json.JSONDecoder().raw_decode(block)[0]
+        agg = _aggregate(out, label)
         assert agg["n_runs"] == 2 and agg["n_completed"] == 2, label
 
 
@@ -693,6 +744,27 @@ def test_forecast_out_of_range(tmp_path, dataset, model_file):
     rc = main(["forecast", "--model", str(model_file), "--data", str(dataset),
                "--at-instance", "100000"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--model", "m.gcm", "--data", "grid.csv", "--at-instance", "150",
+     "--out", "grid.csv"],
+    ["train", "--data", "grid.csv", "--model-out", "m.gcm", "--report-out", "m.gcm"],
+    ["eval", "--model", "m.gcm", "--data", "grid.csv", "--trace-out", "./r.txt",
+     "--report-out", "r.txt"],
+], ids=["forecast-out-is-data", "train-report-is-model", "eval-trace-is-report"])
+def test_two_file_flags_naming_one_file_are_a_usage_error(tmp_path, monkeypatch, dataset,
+                                                          model_file, capsys, argv):
+    """A run whose --data, --model, --out or --*-out flags name one file
+    twice exits 2 and writes nothing: no output, no manifest."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(dataset, "grid.csv")
+    shutil.copy(model_file, "m.gcm")
+    (tmp_path / "r.txt").write_text("an earlier report\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: two file flags name {os.path.realpath(argv[-1])}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_commands_do_not_mutate_inputs(tmp_path, dataset, model_file):

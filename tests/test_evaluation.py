@@ -195,6 +195,18 @@ def test_report_recomputable_from_exported_trace(tmp_path, rng):
     assert ae_va.max() == rep.max_ae_angle
 
 
+@pytest.mark.parametrize("pred_shape, truth_shape", [((5, 10), (10,)), ((5, 5), (5, 5))],
+                         ids=["flat-truths", "odd-width"])
+def test_trace_rejects_unequal_or_odd_width_shapes(tmp_path, rng, pred_shape, truth_shape):
+    """Truths of shape (2n,) would broadcast against (T, 2n) predictions,
+    and an odd width would drop its last column: both raise, and no trace
+    is written."""
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="bad shapes"):
+        export_trace_csv(rng.normal(size=pred_shape), rng.normal(size=truth_shape), path)
+    assert not path.exists()
+
+
 def test_comparison_table_layout(rng):
     preds = rng.normal(size=(3, 4))
     truths = rng.normal(size=(3, 4))

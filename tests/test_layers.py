@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridcast import layers
 from gridcast.data_pipeline import StateSeries, build_windows
 from gridcast.layers import (conv1d_backward, conv1d_forward,
                              dense_backward, dense_forward, maxpool_backward,

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,8 +12,7 @@ from gridcast.data_pipeline import (StateSeries, SyntheticConfig, build_windows,
                                     generate_synthetic_series, split_windows)
 from gridcast.forecaster import ForecastModel, ModelConfig, init_model, param_layout
 from gridcast.training import (EPSILON, AdamState, DivergenceError, Hyperparams,
-                               adam_step, fit_forecaster, joint_loss_and_grad,
-                               multi_run, train)
+                               adam_step, fit_forecaster, joint_loss_and_grad, train)
 
 from conftest import (batch_loss_and_grads, branch_param_names, central_diff, identity_normalizer,
                       oracle_adam_step, oracle_joint_loss_and_grad, oracle_train, param_count,
@@ -388,65 +386,13 @@ def test_fit_frees_each_buffer_before_the_next_forward():
     assert entries[final][1] / p_mib <= 3
 
 
-# ---------------------------------------------------------------------------
-# multi-run protocol
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def small_series():
-    return generate_synthetic_series(SyntheticConfig(n_buses=3, length=120, seed=5))
-
-
-def test_multi_run_single_equals_run(small_series):
+def test_fit_forecaster_predicts_and_scores_with_the_returned_model():
+    """The fit's test predictions are the returned model's forecasts of the
+    test windows, and its report's test nRMSE scores them."""
+    series = generate_synthetic_series(SyntheticConfig(n_buses=3, length=120, seed=5))
     cfg = ModelConfig(n_buses=3, lag_r=5)
-    hp = Hyperparams(epochs=2, seed=1)
-    data = split_windows(small_series, cfg.lag_r, 0.8)
-    runs, n_diverged = multi_run(data, cfg, hp, n_runs=1)
-    model, report, preds = fit_forecaster(data, cfg, hp)
+    data = split_windows(series, cfg.lag_r, 0.8)
+    model, report, preds = fit_forecaster(data, cfg, Hyperparams(epochs=2, seed=1))
     x_test, y_test = data[1]
     npt.assert_array_equal(preds, forecaster.forecast_batch(model, x_test))
-    assert n_diverged == 0 and len(runs) == 1
-    npt.assert_array_equal(runs[0], preds)
     assert report.test_nrmse == evaluation.normalized_rmse(preds, y_test)
-
-
-def test_multi_run_seeds_are_distinct_and_reproducible(small_series):
-    cfg = ModelConfig(n_buses=3, lag_r=5)
-    hp = Hyperparams(epochs=2, seed=1)
-    data = split_windows(small_series, cfg.lag_r, 0.8)
-    runs, n_diverged = multi_run(data, cfg, hp, n_runs=3)
-    assert n_diverged == 0 and len(runs) == 3
-    runs2, _ = multi_run(data, cfg, hp, n_runs=3)
-    for got, again in zip(runs, runs2, strict=True):
-        npt.assert_array_equal(got, again)
-    # distinct seeds per run: run i is the fit at seed 1 + i
-    for i, got in enumerate(runs):
-        npt.assert_array_equal(got, fit_forecaster(data, cfg, replace(hp, seed=1 + i))[2])
-    assert len({evaluation.normalized_rmse(preds, data[1][1]) for preds in runs}) == 3
-
-
-def test_multi_run_rejects_zero_runs(small_series):
-    data = split_windows(small_series, 5, 0.8)
-    with pytest.raises(ValueError, match="n_runs must be >= 1"):
-        multi_run(data, ModelConfig(n_buses=3, lag_r=5), Hyperparams(epochs=1), n_runs=0)
-
-
-def test_multi_run_excludes_and_counts_diverged_runs(small_series):
-    cfg = ModelConfig(n_buses=3, lag_r=5)
-    hp = Hyperparams(epochs=1, seed=2)
-    data = split_windows(small_series, cfg.lag_r, 0.8)
-    fit = training.fit_forecaster
-
-    def diverge_at_seed_3(data, config, hp):
-        if hp.seed == 3:
-            raise DivergenceError(0, 0, float("nan"))
-        return fit(data, config, hp)
-
-    with mock.patch.object(training, "fit_forecaster", diverge_at_seed_3):
-        runs, n_diverged = multi_run(data, cfg, hp, n_runs=3)
-        with pytest.raises(DivergenceError):
-            multi_run(data, cfg, replace(hp, seed=3), n_runs=1)
-    assert n_diverged == 1 and len(runs) == 2
-    for got, seed in zip(runs, (2, 4), strict=True):
-        npt.assert_array_equal(got, fit(data, cfg, replace(hp, seed=seed))[2])
-
